@@ -30,7 +30,7 @@ sys.path.insert(0, str(HERE))
 
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 RUN_LIMIT_S = 170.0      # the whole run, set-up probes included
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
             "MKL_NUM_THREADS": "1"}

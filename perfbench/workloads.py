@@ -2,9 +2,9 @@
 
 The program is deterministic, so a seed only places the inputs: it shifts
 each gradient grid or bisection bracket by a seeded fraction (below a
-twentieth) of one step, and picks the `simulate` initial state.  The shift is
-kept small so that every seed does the same amount of work and lands on
-the same side of every pass/fail boundary.
+twentieth) of one step.  The shift is kept small so that every seed does
+the same amount of work and lands on the same side of every pass/fail
+boundary.
 
 Each workload is sized so that one operation takes seconds at the seed
 commit and several fit in one run; the reasons for each choice are in
@@ -21,7 +21,6 @@ from pathlib import Path
 
 SHIFT_FRACTION = 0.05    # seeded shift is below this share of one step
 ORACLE_TOL = 1e-6        # criterion-1 tolerance of the acceptance suite
-TRACE_TOL = 1e-8
 
 
 def _shift(rng: random.Random, step: float) -> float:
@@ -100,7 +99,7 @@ class ToffoliSweep(CliWorkload):
     pool_workers = 2
     step = 0.3            # spacing of np.linspace(0.15, 2.25, 8)
     first = 0.15
-    points = 3            # the first three points of the shared grid
+    points = 2            # the first two points of the shared grid, one per worker
 
     def make_inputs(self, seed: int) -> dict:
         rng = random.Random(seed)
@@ -215,59 +214,6 @@ class CnotRanges(CliWorkload):
         return errors
 
 
-class CnotSimulate(CliWorkload):
-    name = "cnot_simulate"
-    mode = "simulate"
-    t_end_ns = 25.0
-    samples = 5000
-
-    def make_inputs(self, seed: int) -> dict:
-        # ud and du take about 15% more RK45 evaluations than uu and dd,
-        # so the seed picks between the two states that cost the same: the
-        # flipping one and one the gate leaves alone.
-        rng = random.Random(seed)
-        return {"initial_state": rng.choice(["uu", "dd"])}
-
-    def config(self, inputs: dict) -> dict:
-        return {"mode": "simulate", "device.gate": "cnot", "device.j": 0.42,
-                "device.b_ac": 0.004, "device.b_control": 2.0, "device.b_target": 1.0,
-                "simulate.initial_state": inputs["initial_state"],
-                "simulate.t_end_ns": self.t_end_ns, "simulate.samples": self.samples}
-
-    def pool_points(self, inputs: dict) -> int:
-        """The one trajectory counts as the run's one point."""
-        return 1
-
-    def check(self, inputs: dict, work: Path, rng: random.Random) -> list:
-        """Every row keeps its trace; seeded rows match expm_oracle."""
-        from qdgates import cli, device
-        from qdgates.config import parse_config
-        from qdgates.lindblad import expm_oracle
-        from qdgates.noise import build_collapse_set
-        from qdgates.operators import basis_density, partial_trace
-
-        spec = parse_config((work / "workload.cfg").read_text(encoding="utf-8"))
-        rows = _read_csv(work / "out" / "trajectory.csv")
-        errors = []
-        if len(rows) != self.samples:
-            errors.append(f"trajectory has {len(rows)} rows, want {self.samples}")
-        worst = max(abs(float(r["trace_error"])) for r in rows)
-        if worst > TRACE_TOL:
-            errors.append(f"|trace_error| reaches {worst:.2e}")
-        cfg = device.resolve_drive(cli.device_from_spec(spec))
-        collapse = build_collapse_set(device.static_eigensystem(cfg), cli.noise_from_spec(spec))
-        h = device.build_hamiltonian_rwa(cfg)
-        rho0 = basis_density(spec.initial_state)
-        for row in rng.sample(rows[1:], 3):
-            rho = expm_oracle(h, collapse, rho0, device.ns_to_time(float(row["time_ns"])))
-            for q in range(cfg.n_qubits):
-                diff = abs(float(row[f"P_up_q{q}"]) - partial_trace(rho, q)[0, 0].real)
-                if diff > ORACLE_TOL:
-                    errors.append(f"P_up_q{q} at {row['time_ns']} ns is {diff:.2e} "
-                                  "from expm_oracle")
-        return errors
-
-
 class CalibLowRow:
     name = "calib_low_row"
     pool_workers = 1
@@ -317,5 +263,4 @@ class CalibLowRow:
         return []
 
 
-WORKLOADS = {w.name: w for w in (ToffoliSweep(), CnotRanges(), CnotSimulate(),
-                                 CalibLowRow())}
+WORKLOADS = {w.name: w for w in (ToffoliSweep(), CnotRanges(), CalibLowRow())}
