@@ -45,6 +45,7 @@ from .lindblad import (
     expm_oracle,
     lindblad_rhs,
     liouvillian,
+    propagate,
 )
 from .analysis import (
     FlipTimeError,

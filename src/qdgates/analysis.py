@@ -4,26 +4,27 @@ A gate configuration passes at one gradient point when, for every initial
 computational basis state, every qubit whose truth-table output is up has
 P_up above t_up and every qubit expected down has P_up below t_down at the
 flip time.  P_up inside the dead zone [t_down, t_up] is a failure.  The
-flip time is detected once per configuration from a noise-free
-rotating-frame run and reused for every noisy initial state, so that
-decoherence is never conflated with timing drift.
+flip time is found once per configuration from the noise-free
+rotating-frame evolution, in closed form from the eigenvectors of H_rwa,
+and reused for every noisy initial state, so that decoherence is never
+conflated with timing drift.  One exact `propagate` call gives all noisy
+states at the flip time; `population_up` raises rather than clips.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import device
 from .device import DeviceConfig, CNOT
 from .noise import NoiseConfig, build_collapse_set
-from .lindblad import SolverError, Trajectory, evolve
+from .lindblad import SolverError, propagate
 from .operators import basis_density, index_to_label, partial_trace
 
 FLIP_WINDOW_FACTOR = 4.0
-SWEEP_SAMPLES = 600          # >= 400 samples per flip time
 
 
 class FlipTimeError(RuntimeError):
@@ -71,57 +72,55 @@ def expected_final(gate: str, initial: str) -> str:
     return "".join(bits)
 
 
-def classify(traj: Trajectory, t_flip: float, gate: str, initial: str,
+def _failing_qubits(p_up, expected: str, thresholds: Thresholds) -> tuple:
+    """Indices of the qubits whose P_up misses its truth-table threshold."""
+    return tuple(q for q, (p, want) in enumerate(zip(p_up, expected))
+                 if not (p > thresholds.t_up if want == "u" else p < thresholds.t_down))
+
+
+def classify(rho: np.ndarray, gate: str, initial: str,
              thresholds: Thresholds) -> GateVerdict:
-    """Verdict from per-qubit P_up sampled (linearly) at the flip time."""
-    if not traj.times[0] <= t_flip <= traj.times[-1]:
-        raise ValueError("flip time outside the trajectory span")
-    n = 2 if gate == CNOT else 3
+    """Verdict from per-qubit P_up of the state `rho` at the flip time."""
     expected = expected_final(gate, initial)
-    p_up = tuple(float(np.interp(t_flip, traj.times, traj.population_up(q)))
-                 for q in range(n))
-    failing = []
-    for q, (p, want) in enumerate(zip(p_up, expected)):
-        ok = p > thresholds.t_up if want == "u" else p < thresholds.t_down
-        if not ok:
-            failing.append(q)
+    p_up = tuple(population_up(rho, q) for q in range(len(initial)))
+    failing = _failing_qubits(p_up, expected, thresholds)
     return GateVerdict(initial_state=initial, expected=expected, p_up=p_up,
-                       passed=not failing, failing_qubits=tuple(failing))
+                       passed=not failing, failing_qubits=failing)
 
 
 def reclassify(verdict: GateVerdict, gate: str, thresholds: Thresholds) -> GateVerdict:
     """Re-threshold a stored verdict without re-running the dynamics."""
-    failing = []
-    for q, (p, want) in enumerate(zip(verdict.p_up, verdict.expected)):
-        ok = p > thresholds.t_up if want == "u" else p < thresholds.t_down
-        if not ok:
-            failing.append(q)
-    return GateVerdict(initial_state=verdict.initial_state, expected=verdict.expected,
-                       p_up=verdict.p_up, passed=not failing,
-                       failing_qubits=tuple(failing))
+    failing = _failing_qubits(verdict.p_up, verdict.expected, thresholds)
+    return replace(verdict, passed=not failing, failing_qubits=failing)
 
 
-def flip_time(cfg: DeviceConfig, *, samples: int = 2000,
-              rtol: float = 1e-8, atol: float = 1e-10) -> float:
-    """Time of the conditional pi flip from a noise-free rotating-frame run.
+def flip_time(cfg: DeviceConfig, *, samples: int = 2000) -> float:
+    """Time of the conditional pi flip in the noise-free rotating frame.
 
-    Starts from the all-controls-up state, follows the target's P_up and
-    returns the first interior local minimum below one half, refined by
-    golden-section search on the dense interpolant.  Raises FlipTimeError
-    if no such minimum occurs within FLIP_WINDOW_FACTOR times the analytic
-    Rabi half-period pi / (2 g mu_B B_ac).
+    Starts from the all-controls-up state, follows the target's P_up, in
+    closed form from the eigenvectors of H_rwa, on `samples` evenly spaced
+    times and returns the first interior local minimum below one half,
+    refined by golden-section search.  Raises FlipTimeError if no such
+    minimum occurs within FLIP_WINDOW_FACTOR times the analytic Rabi
+    half-period pi / (2 g mu_B B_ac).
     """
     cfg = device.resolve_drive(cfg)
     b = abs(cfg.drive_energy)
     if b == 0:
         raise FlipTimeError("zero drive amplitude cannot flip the target")
     window = FLIP_WINDOW_FACTOR * math.pi / (2.0 * b)
-    h = device.build_hamiltonian_rwa(cfg)
-    rho0 = basis_density("u" * cfg.n_qubits)
-    traj = evolve(h, None, rho0, window, samples=samples, rtol=rtol, atol=atol,
-                  dense=True)
-    target = cfg.target_qubit
-    pops = traj.population_up(target)
+    energies, vectors = np.linalg.eigh(device.build_hamiltonian_rwa(cfg))
+    # psi(t) = U exp(-i E t) U^+ psi0, with psi0 the basis state |u...u> (index 0);
+    # keep the rows of the basis states whose target spin is up
+    up_rows = (vectors * vectors[0].conj())[
+        [index_to_label(i, cfg.n_qubits)[cfg.target_qubit] == "u" for i in range(cfg.dim)]]
+
+    def p_up(t):
+        amplitudes = up_rows @ np.exp(-1j * np.outer(energies, np.atleast_1d(t)))
+        return np.sum(np.abs(amplitudes) ** 2, axis=0)
+
+    times = np.linspace(0.0, window, samples)
+    pops = p_up(times)
     idx = None
     for i in range(1, len(pops) - 1):
         if pops[i] < 0.5 and pops[i] <= pops[i - 1] and pops[i] <= pops[i + 1]:
@@ -130,11 +129,7 @@ def flip_time(cfg: DeviceConfig, *, samples: int = 2000,
     if idx is None:
         raise FlipTimeError("target never reached a P_up minimum below 0.5 within "
                             f"{FLIP_WINDOW_FACTOR}x the Rabi half-period")
-
-    def p_of(t):
-        return partial_trace(traj.state_at(t), target)[0, 0].real
-
-    return _golden_minimize(p_of, traj.times[idx - 1], traj.times[idx + 1])
+    return _golden_minimize(lambda t: p_up(t)[0], times[idx - 1], times[idx + 1])
 
 
 def _golden_minimize(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -226,33 +221,29 @@ class SweepResult:
 
 
 def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
-                   thresholds: Thresholds, *, samples: int = SWEEP_SAMPLES) -> PointResult:
-    """Run every initial basis state at one gradient point and classify.
+                   thresholds: Thresholds) -> PointResult:
+    """Propagate every initial basis state to the flip time and classify.
 
-    Solver failures are re-raised with the failing (gradient, initial
-    state) coordinates attached.
+    Flip-time and propagation failures are re-raised with the failing
+    gradient attached.
     """
     cfg = device.resolve_drive(template.config(gradient))
     try:
         t_flip = flip_time(cfg)
-    except (SolverError, FlipTimeError) as exc:
-        raise type(exc)(f"gradient {gradient} T, flip-time run: {exc}") from exc
+    except FlipTimeError as exc:
+        raise FlipTimeError(f"gradient {gradient} T, flip-time search: {exc}") from exc
     eig = device.static_eigensystem(cfg)
     zeeman = _basis_zeeman(cfg) if noise.phonon_e_mode == "bare_zeeman" else None
     collapse = build_collapse_set(eig, noise, zeeman_energies=zeeman)
     h = device.build_hamiltonian_rwa(cfg)
-    verdicts = []
-    for idx in range(cfg.dim):
-        initial = index_to_label(idx, cfg.n_qubits)
-        try:
-            traj = evolve(h, collapse, basis_density(initial), t_flip,
-                          samples=samples)
-        except SolverError as exc:
-            raise SolverError(f"gradient {gradient} T, initial state "
-                              f"{initial}: {exc}") from exc
-        verdicts.append(classify(traj, t_flip, cfg.gate, initial, thresholds))
-    return PointResult(gradient=float(gradient), t_flip=t_flip,
-                       verdicts=tuple(verdicts))
+    labels = [index_to_label(idx, cfg.n_qubits) for idx in range(cfg.dim)]
+    try:
+        finals = propagate(h, collapse, [basis_density(s) for s in labels], [t_flip])
+    except SolverError as exc:
+        raise SolverError(f"gradient {gradient} T: {exc}") from exc
+    verdicts = tuple(classify(rho, cfg.gate, initial, thresholds)
+                     for rho, initial in zip(finals[:, 0], labels))
+    return PointResult(gradient=float(gradient), t_flip=t_flip, verdicts=verdicts)
 
 
 def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
@@ -267,20 +258,18 @@ def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
 
 
 def _point_task(args):
-    template, gradient, noise, thresholds, samples = args
-    return evaluate_point(template, gradient, noise, thresholds, samples=samples)
+    return evaluate_point(*args)
 
 
 def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
-              thresholds: Thresholds, *, workers: int = 1,
-              samples: int = SWEEP_SAMPLES) -> SweepResult:
+              thresholds: Thresholds, *, workers: int = 1) -> SweepResult:
     """Evaluate every gradient point, in order, optionally in parallel."""
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
         raise ValueError("sweep grid is empty")
     if np.any(np.diff(gradients) <= 0):
         raise ValueError("gradient axis must be strictly increasing")
-    tasks = [(template, g, noise, thresholds, samples) for g in gradients]
+    tasks = [(template, g, noise, thresholds) for g in gradients]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_point_task, tasks))
@@ -318,7 +307,7 @@ def _extract_range(result: SweepResult) -> None:
 
 def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
                     thresholds: Thresholds, passing: float, failing: float, *,
-                    samples: int = SWEEP_SAMPLES, sig_figs: int = 3):
+                    sig_figs: int = 3):
     """Bisect a pass/fail boundary to `sig_figs` significant figures.
 
     Returns (boundary_gradient, (initial_state, qubit)) where the limiting
@@ -329,7 +318,7 @@ def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
                      - sig_figs + 1)
     while abs(failing - passing) > 0.5 * scale:
         mid = 0.5 * (passing + failing)
-        point = evaluate_point(template, mid, noise, thresholds, samples=samples)
+        point = evaluate_point(template, mid, noise, thresholds)
         if point.passed:
             passing = mid
         else:
@@ -340,28 +329,25 @@ def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
 
 def operating_range(template: SweepTemplate, gradients, noise: NoiseConfig,
                     thresholds: Thresholds, *, workers: int = 1,
-                    samples: int = SWEEP_SAMPLES, refine: bool = False) -> SweepResult:
+                    refine: bool = False) -> SweepResult:
     """Sweep a gradient grid and extract the operating range.
 
     With `refine` the two closed boundaries of the passing run are
     bisected to three significant figures; grid-aligned endpoints stay in
     range_indices and the refined values land in refined_low/high.
     """
-    result = run_sweep(template, gradients, noise, thresholds,
-                       workers=workers, samples=samples)
+    result = run_sweep(template, gradients, noise, thresholds, workers=workers)
     if refine and not result.empty:
         lo, hi = result.range_indices
         if not result.open_low:
             grad, limit = refine_boundary(template, noise, thresholds,
-                                          result.gradients[lo], result.gradients[lo - 1],
-                                          samples=samples)
+                                          result.gradients[lo], result.gradients[lo - 1])
             result.refined_low = grad
             if limit is not None:
                 result.limiting_low = limit
         if not result.open_high:
             grad, limit = refine_boundary(template, noise, thresholds,
-                                          result.gradients[hi], result.gradients[hi + 1],
-                                          samples=samples)
+                                          result.gradients[hi], result.gradients[hi + 1])
             result.refined_high = grad
             if limit is not None:
                 result.limiting_high = limit

@@ -1,22 +1,24 @@
-"""Lindblad master-equation integration and an exact exponential oracle.
+"""Lindblad master-equation propagation: exact, RK45 and an oracle.
 
 The equation of motion is
 
     drho/dt = -i [H, rho] + sum_n ( C_n rho C_n^+ - 1/2 {C_n^+ C_n, rho} )
 
-with hbar = 1 (energies in ueV, time in model units).  `evolve` integrates
-the flattened real representation of rho with an adaptive embedded
-Runge-Kutta 5(4) scheme (Dormand-Prince, scipy's RK45); `expm_oracle`
-evaluates the same dynamics exactly through the matrix exponential of the
-vectorized Liouvillian and serves as the independent reference for the
-integrator.  Trace renormalization is never applied: trace drift is kept
+with hbar = 1 (energies in ueV, time in model units).  For a static H,
+`propagate` evaluates rho(t) = exp(L t) rho(0) exactly from one
+eigendecomposition L = V diag(lambda) V^-1, falling back to Pade
+`expm(L t)` when cond(V) exceeds EIG_COND_LIMIT (Moler & Van Loan, SIAM
+Rev. 2003; Al-Mohy & Higham, SIAM J. Sci. Comput. 2011).  `evolve`
+integrates the flattened real representation of rho with scipy's adaptive
+RK45 (Dormand-Prince 5(4)); it serves the time-dependent lab frame and the
+cross-checks.  `expm_oracle` is the independent matrix-exponential
+reference.  Trace renormalization is never applied: trace drift is kept
 as a measured error signal.
 
 Vectorization uses row stacking (vec(rho) = rho.ravel() in C order), so
 
-    L = -i (H (x) I - I (x) H^T)
-        + sum_n [ C_n (x) conj(C_n)
-                  - 1/2 ( (C_n^+ C_n) (x) I + I (x) (C_n^+ C_n)^T ) ].
+    L = -i (H (x) I - I (x) H^T) + sum_n C_n (x) conj(C_n)
+        - 1/2 ( S (x) I + I (x) S^T ),    S = sum_n C_n^+ C_n.
 """
 from __future__ import annotations
 
@@ -30,10 +32,14 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_SAMPLES = 2000
 HERMITIZATION_TOL = 1e-8
+# Largest 2-norm condition number of the Liouvillian's eigenvector matrix
+# that `propagate` trusts; the error of V exp(lambda t) V^-1 grows as
+# cond(V) times machine epsilon.  Above it, expm(L t) is used instead.
+EIG_COND_LIMIT = 1e5
 
 
 class SolverError(RuntimeError):
-    """Integration failed (step-size underflow or tolerance failure)."""
+    """Propagation failed (step-size underflow, tolerance or Hermiticity failure)."""
 
 
 def _collapse_matrices(collapse) -> list:
@@ -68,9 +74,12 @@ def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c in _collapse_matrices(collapse):
-        cdc = c.conj().T @ c
-        lv += np.kron(c, c.conj())
+    mats = _collapse_matrices(collapse)
+    if mats:
+        c = np.stack(mats)
+        lv += np.einsum("kij,kab->iajb", c, c.conj(),
+                        optimize=True).reshape(d * d, d * d)
+        cdc = np.einsum("kji,kjl->il", c.conj(), c, optimize=True)
         lv -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
     return lv
 
@@ -93,42 +102,62 @@ def expm_oracle(h: np.ndarray, collapse, rho0: np.ndarray, t: float) -> np.ndarr
     return vec.reshape(d, d)
 
 
+def _hermitized(states: np.ndarray) -> np.ndarray:
+    """Symmetrize (..., d, d) states after checking their Hermiticity deviation."""
+    adjoint = states.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(states - adjoint).max()
+    if herm_dev > HERMITIZATION_TOL:
+        raise SolverError(f"Hermiticity deviation {herm_dev:.3e} exceeds "
+                          f"{HERMITIZATION_TOL} before symmetrization")
+    return (states + adjoint) / 2.0
+
+
+def propagate(h: np.ndarray, collapse, rho0s, times) -> np.ndarray:
+    """Exact rho(t), shape (len(rho0s), len(times), d, d), for a static H.
+
+    L is diagonalized once and V c = vec(rho0) solved once for all initial
+    states; each time then costs one product V exp(lambda t) c.  If
+    cond(V) exceeds EIG_COND_LIMIT, each time uses expm(L t) instead.  The
+    Hermiticity check of `evolve` applies; the trace is not renormalized.
+    """
+    if callable(h):
+        raise ValueError("propagate requires a time-independent Hamiltonian")
+    h = np.asarray(h, dtype=complex)
+    rho0s = np.asarray(rho0s, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    d = h.shape[0]
+    if rho0s.ndim != 3 or rho0s.shape[1:] != h.shape:
+        raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
+    if times.ndim != 1 or np.any(times < 0):
+        raise ValueError("times must be a 1-d array of non-negative values")
+    lv = liouvillian(h, collapse)
+    r0 = rho0s.reshape(len(rho0s), d * d).T                    # (d^2, n_states)
+    lam, v = np.linalg.eig(lv)
+    if np.linalg.cond(v) <= EIG_COND_LIMIT:
+        coeff = np.linalg.solve(v, r0)
+        vecs = v @ (np.exp(np.outer(times, lam))[:, :, None] * coeff)
+    else:
+        vecs = np.stack([expm(lv * t) @ r0 for t in times])
+    # vecs is (n_times, d^2, n_states)
+    states = vecs.transpose(2, 0, 1).reshape(len(rho0s), len(times), d, d)
+    return _hermitized(states)
+
+
 @dataclass
 class Trajectory:
     """Sampled density-matrix evolution in model time units."""
     times: np.ndarray
     states: np.ndarray           # (n_samples, d, d)
-    sol: object = None           # scipy dense-output interpolant, if requested
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
-
-    def population_up(self, qubit: int) -> np.ndarray:
-        """P_up of one qubit at every sample, clamped to [0, 1]."""
-        from .operators import partial_trace
-        values = np.array([partial_trace(rho, qubit)[0, 0].real
-                           for rho in self.states])
-        return np.clip(values, 0.0, 1.0)
 
     def trace_error(self) -> np.ndarray:
         """Signed trace deviation Tr(rho) - 1 at every sample."""
         return np.einsum("nii->n", self.states).real - 1.0
 
-    def state_at(self, t: float) -> np.ndarray:
-        """State at an arbitrary time from the dense interpolant."""
-        if self.sol is None:
-            raise ValueError("trajectory was recorded without dense output")
-        d = self.dim
-        y = self.sol(t)
-        rho = (y[:d * d] + 1j * y[d * d:]).reshape(d, d)
-        return (rho + rho.conj().T) / 2.0
-
 
 def evolve(h, collapse, rho0: np.ndarray, t_end: float, *,
            rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-           samples: int = DEFAULT_SAMPLES, dense: bool = False) -> Trajectory:
-    """Integrate the master equation from rho0 over [0, t_end].
+           samples: int = DEFAULT_SAMPLES) -> Trajectory:
+    """Integrate the master equation from rho0 over [0, t_end] with RK45.
 
     `h` is either a static (d, d) array or a callable t -> (d, d) array.
     The ODE state is the concatenated real and imaginary parts of
@@ -164,17 +193,10 @@ def evolve(h, collapse, rho0: np.ndarray, t_end: float, *,
     y0 = np.concatenate((rho0.real.ravel(), rho0.imag.ravel()))
     t_eval = np.linspace(0.0, t_end, samples)
     result = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol,
-                       atol=atol, t_eval=t_eval, dense_output=dense)
+                       atol=atol, t_eval=t_eval)
     if not result.success:
         raise SolverError(f"integration failed at t = {result.t[-1] if result.t.size else 0.0}"
                           f" of {t_end}: {result.message}")
 
     raw = result.y.T[:, :n] + 1j * result.y.T[:, n:]
-    states = raw.reshape(-1, d, d)
-    herm_dev = np.abs(states - states.conj().transpose(0, 2, 1)).max()
-    if herm_dev > HERMITIZATION_TOL:
-        raise SolverError(f"Hermiticity deviation {herm_dev:.3e} exceeds "
-                          f"{HERMITIZATION_TOL} before symmetrization")
-    states = (states + states.conj().transpose(0, 2, 1)) / 2.0
-    return Trajectory(times=t_eval, states=states,
-                      sol=result.sol if dense else None)
+    return Trajectory(times=t_eval, states=_hermitized(raw.reshape(-1, d, d)))

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from qdgates.device import (
+    build_hamiltonian_rwa,
+    cnot_config,
+    resolve_drive,
+    static_eigensystem,
+    toffoli_config,
+)
+from qdgates.noise import NoiseConfig, build_collapse_set
+
 
 @pytest.fixture
 def rng():
@@ -36,3 +45,18 @@ def partial_trace_by_summation(rho, keep, n_qubits):
                 total += rho[i, j]
             out[a, b] = total
     return out
+
+
+def random_noisy_setup(rng, gate):
+    """Random noisy CNOT or Toffoli device: (H_rwa, collapse set, config)."""
+    if gate == "cnot":
+        cfg = cnot_config(rng.uniform(0.3, 1.0), rng.uniform(0.1, 1.5),
+                          j=rng.uniform(0.1, 0.5),
+                          b_ac=rng.uniform(0.001, 0.006))
+    else:
+        cfg = toffoli_config(rng.uniform(0.05, 0.3), rng.uniform(0.1, 0.8),
+                             j12=rng.uniform(0.1, 0.5), j23=rng.uniform(0.1, 0.5),
+                             b_ac=rng.uniform(0.001, 0.006))
+    cfg = resolve_drive(cfg)
+    collapse = build_collapse_set(static_eigensystem(cfg), NoiseConfig())
+    return build_hamiltonian_rwa(cfg), collapse, cfg

@@ -26,7 +26,7 @@ from qdgates.device import (
     static_eigensystem,
     toffoli_config,
 )
-from qdgates.lindblad import evolve, expm_oracle
+from qdgates.lindblad import Trajectory, evolve, expm_oracle, propagate
 from qdgates.noise import (
     NoiseConfig,
     build_collapse_set,
@@ -38,26 +38,14 @@ from qdgates.operators import SIGMA_Z, basis_density, index_to_label, label_to_i
 
 from qdgates.calibration import LOW_ROW, find_boundary
 
+from conftest import random_noisy_setup
+
 
 def assert_physical(traj, trace_tol=1e-8, herm_tol=1e-8, eig_floor=-1e-7):
     assert np.abs(traj.trace_error()).max() <= trace_tol
     for state in traj.states:
         assert np.abs(state - state.conj().T).max() <= herm_tol
         assert np.linalg.eigvalsh(state).min() >= eig_floor
-
-
-def random_noisy_setup(rng, gate):
-    if gate == "cnot":
-        cfg = cnot_config(rng.uniform(0.3, 1.0), rng.uniform(0.1, 1.5),
-                          j=rng.uniform(0.1, 0.5),
-                          b_ac=rng.uniform(0.001, 0.006))
-    else:
-        cfg = toffoli_config(rng.uniform(0.05, 0.3), rng.uniform(0.1, 0.8),
-                             j12=rng.uniform(0.1, 0.5), j23=rng.uniform(0.1, 0.5),
-                             b_ac=rng.uniform(0.001, 0.006))
-    cfg = resolve_drive(cfg)
-    collapse = build_collapse_set(static_eigensystem(cfg), NoiseConfig())
-    return build_hamiltonian_rwa(cfg), collapse, cfg
 
 
 def test_criterion_01_oracle_equivalence():
@@ -87,12 +75,12 @@ def test_criterion_02_physicality():
     for cfg in cases:
         collapse = build_collapse_set(static_eigensystem(cfg), NoiseConfig())
         h = build_hamiltonian_rwa(cfg)
+        times = np.linspace(0.0, flip_time(cfg), 500)
         for initial in ("u" * cfg.n_qubits, "d" * cfg.n_qubits):
-            traj = evolve(h, collapse, basis_density(initial), flip_time(cfg),
-                          samples=500)
-            assert_physical(traj)
+            states = propagate(h, collapse, [basis_density(initial)], times)[0]
+            assert_physical(Trajectory(times=times, states=states))
     print("\n[criterion 2] PASS - trace within 1e-8, Hermiticity within 1e-8, "
-          "eigenvalues above -1e-7 on noisy runs of both gates")
+          "eigenvalues above -1e-7 on exactly propagated noisy runs of both gates")
 
 
 def test_criterion_03_detailed_balance():
@@ -149,15 +137,15 @@ def test_criterion_05_noise_free_truth_tables():
                                                  b_ac=0.004)), 0.98),
     )
     for gate, cfg, bound in checks:
-        t_flip = flip_time(cfg)
+        times = np.linspace(0.0, flip_time(cfg), 500)
         h = build_hamiltonian_rwa(cfg)
         for idx in range(cfg.dim):
             initial = index_to_label(idx, cfg.n_qubits)
             expected = analysis.expected_final(gate, initial)
-            traj = evolve(h, None, basis_density(initial), t_flip, samples=500)
-            assert_physical(traj)
+            states = propagate(h, None, [basis_density(initial)], times)[0]
+            assert_physical(Trajectory(times=times, states=states))
             k = label_to_index(expected)
-            fidelity = traj.states[-1][k, k].real
+            fidelity = states[-1][k, k].real
             assert fidelity >= bound, (gate, initial, fidelity)
     print("\n[criterion 5] PASS - noise-free state fidelities >= 0.99 (cnot) "
           "and >= 0.98 (toffoli) for all initial states")

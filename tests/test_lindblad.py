@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdgates.device import (
     build_hamiltonian_rwa,
@@ -9,16 +10,18 @@ from qdgates.device import (
     resolve_drive,
     static_eigensystem,
 )
+from qdgates import lindblad
 from qdgates.lindblad import (
     evolve,
     expm_oracle,
     lindblad_rhs,
     liouvillian,
+    propagate,
 )
 from qdgates.noise import NoiseConfig, build_collapse_set, dephasing_operator
-from qdgates.operators import SIGMA_Z, basis_density, kron
+from qdgates.operators import SIGMA_X, SIGMA_Z, basis_density, index_to_label, kron
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_noisy_setup
 
 
 class TestRhs:
@@ -72,6 +75,74 @@ class TestLiouvillian:
             via_l = (lv @ rho.ravel()).reshape(4, 4)
             direct = lindblad_rhs(h, collapse, rho)
             assert np.abs(via_l - direct).max() <= 1e-12 * scale
+
+    def test_batched_assembly_matches_per_operator_krons(self, rng):
+        # complex collapse operators, so a dropped conjugate shows; the
+        # reference sums the three Kronecker products operator by operator
+        d = 4
+        h = random_hermitian(rng, d)
+        ops = [random_hermitian(rng, d) + 1j * random_hermitian(rng, d)
+               for _ in range(5)]
+        eye = np.eye(d)
+        ref = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for c in ops:
+            cdc = c.conj().T @ c
+            ref += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        np.testing.assert_allclose(liouvillian(h, ops), ref, rtol=0, atol=1e-13)
+
+
+class TestPropagate:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(gate=st.sampled_from(["cnot", "toffoli"]),
+           seed=st.integers(0, 2**32 - 1),
+           t_end=st.floats(0.2, 3.0))
+    def test_matches_oracle_and_rk45_and_is_physical(self, gate, seed, t_end):
+        rng = np.random.default_rng(seed)
+        h, collapse, cfg = random_noisy_setup(rng, gate)
+        labels = [index_to_label(i, cfg.n_qubits) for i in range(cfg.dim)]
+        rho0s = [basis_density(s) for s in labels]
+        times = [0.5 * t_end, t_end]
+        states = propagate(h, collapse, rho0s, times)
+        assert states.shape == (cfg.dim, 2, cfg.dim, cfg.dim)
+        for rho0, row in zip(rho0s, states):
+            for t, rho in zip(times, row):
+                assert np.abs(rho - expm_oracle(h, collapse, rho0, t)).max() <= 1e-10
+                assert abs(np.trace(rho) - 1.0) <= 1e-8
+                assert np.abs(rho - rho.conj().T).max() <= 1e-8
+                assert np.linalg.eigvalsh(rho).min() >= -1e-9
+        k = int(rng.integers(cfg.dim))
+        traj = evolve(h, collapse, rho0s[k], t_end, samples=2)
+        assert np.abs(traj.states[-1] - states[k, 1]).max() <= 1e-6
+
+    def test_exceptional_point_falls_back_to_expm(self):
+        # driven decaying two-level system at Omega = gamma / 4, where two
+        # eigenvalues of L coalesce and V is nearly singular
+        gamma = 1.0
+        h = 0.5 * (gamma / 4.0) * SIGMA_X
+        lower = np.zeros((2, 2), dtype=complex)
+        lower[1, 0] = math.sqrt(gamma)
+        _, v = np.linalg.eig(liouvillian(h, [lower]))
+        assert np.linalg.cond(v) > lindblad.EIG_COND_LIMIT
+        rho0 = basis_density("u")
+        times = [0.5, 3.0, 20.0]
+        states = propagate(h, [lower], [rho0], times)[0]
+        for t, rho in zip(times, states):
+            np.testing.assert_allclose(rho, expm_oracle(h, [lower], rho0, t),
+                                       rtol=0, atol=1e-14)
+
+    def test_time_zero_returns_initial_states(self, rng):
+        h = random_hermitian(rng, 4)
+        rho0s = [random_density(rng, 4) for _ in range(3)]
+        states = propagate(h, None, rho0s, [0.0])
+        np.testing.assert_allclose(states[:, 0], rho0s, atol=1e-13)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            propagate(lambda t: np.zeros((2, 2)), None, [np.eye(2) / 2], [1.0])
+        with pytest.raises(ValueError):
+            propagate(np.zeros((2, 2)), None, [np.eye(4) / 4], [1.0])
+        with pytest.raises(ValueError):
+            propagate(np.zeros((2, 2)), None, [np.eye(2) / 2], [-1.0])
 
 
 class TestExpmOracle:
