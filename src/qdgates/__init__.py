@@ -9,7 +9,6 @@ from .operators import (
     check_density_matrix,
     eigensystem,
     embed_pauli,
-    expect,
     index_to_label,
     kron,
     label_to_index,

@@ -9,6 +9,8 @@ rotating-frame evolution, in closed form from the eigenvectors of H_rwa,
 and reused for every noisy initial state, so that decoherence is never
 conflated with timing drift.  One exact `propagate` call gives all noisy
 states at the flip time; `population_up` raises rather than clips.
+Every pass/fail boundary, here and in the calibration fits, is located by
+the one bisection `bisect_boundary`.
 """
 from __future__ import annotations
 
@@ -52,7 +54,11 @@ class GateVerdict:
 
 
 def population_up(rho: np.ndarray, qubit: int) -> float:
-    """Probability that `qubit`'s reduced state is spin-up, clamped to [0, 1]."""
+    """Probability that `qubit`'s reduced state is spin-up.
+
+    Raises ValueError when the value lies more than 1e-9 outside [0, 1];
+    a value within that tolerance is clamped into the interval.
+    """
     value = partial_trace(rho, qubit)[0, 0].real
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise ValueError(f"population {value} outside [0, 1] beyond tolerance")
@@ -94,7 +100,7 @@ def reclassify(verdict: GateVerdict, gate: str, thresholds: Thresholds) -> GateV
     return replace(verdict, passed=not failing, failing_qubits=failing)
 
 
-def flip_time(cfg: DeviceConfig, *, samples: int = 2000) -> float:
+def flip_time(cfg: DeviceConfig, *, samples: int = 2000, h_rwa=None) -> float:
     """Time of the conditional pi flip in the noise-free rotating frame.
 
     Starts from the all-controls-up state, follows the target's P_up, in
@@ -102,14 +108,17 @@ def flip_time(cfg: DeviceConfig, *, samples: int = 2000) -> float:
     times and returns the first interior local minimum below one half,
     refined by golden-section search.  Raises FlipTimeError if no such
     minimum occurs within FLIP_WINDOW_FACTOR times the analytic Rabi
-    half-period pi / (2 g mu_B B_ac).
+    half-period pi / (2 g mu_B B_ac).  `h_rwa` is H_rwa of the resolved
+    `cfg` when the caller has built it already.
     """
     cfg = device.resolve_drive(cfg)
     b = abs(cfg.drive_energy)
     if b == 0:
         raise FlipTimeError("zero drive amplitude cannot flip the target")
     window = FLIP_WINDOW_FACTOR * math.pi / (2.0 * b)
-    energies, vectors = np.linalg.eigh(device.build_hamiltonian_rwa(cfg))
+    if h_rwa is None:
+        h_rwa = device.build_hamiltonian_rwa(cfg)
+    energies, vectors = np.linalg.eigh(h_rwa)
     # psi(t) = U exp(-i E t) U^+ psi0, with psi0 the basis state |u...u> (index 0);
     # keep the rows of the basis states whose target spin is up
     up_rows = (vectors * vectors[0].conj())[
@@ -220,6 +229,19 @@ class SweepResult:
         return float(self.gradients[lo]), float(self.gradients[hi])
 
 
+def point_model(cfg: DeviceConfig, noise: NoiseConfig) -> tuple:
+    """(resolved config, H_rwa, collapse set) of one device configuration.
+
+    The drive-free eigensystem is built once and serves both the drive
+    resolution and the collapse set.
+    """
+    eig = device.static_eigensystem(cfg)
+    cfg = device.resolve_drive(cfg, eig)
+    zeeman = _basis_zeeman(cfg) if noise.phonon_e_mode == "bare_zeeman" else None
+    collapse = build_collapse_set(eig, noise, zeeman_energies=zeeman)
+    return cfg, device.build_hamiltonian_rwa(cfg), collapse
+
+
 def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
                    thresholds: Thresholds) -> PointResult:
     """Propagate every initial basis state to the flip time and classify.
@@ -227,15 +249,11 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
     Flip-time and propagation failures are re-raised with the failing
     gradient attached.
     """
-    cfg = device.resolve_drive(template.config(gradient))
+    cfg, h, collapse = point_model(template.config(gradient), noise)
     try:
-        t_flip = flip_time(cfg)
+        t_flip = flip_time(cfg, h_rwa=h)
     except FlipTimeError as exc:
         raise FlipTimeError(f"gradient {gradient} T, flip-time search: {exc}") from exc
-    eig = device.static_eigensystem(cfg)
-    zeeman = _basis_zeeman(cfg) if noise.phonon_e_mode == "bare_zeeman" else None
-    collapse = build_collapse_set(eig, noise, zeeman_energies=zeeman)
-    h = device.build_hamiltonian_rwa(cfg)
     labels = [index_to_label(idx, cfg.n_qubits) for idx in range(cfg.dim)]
     try:
         finals = propagate(h, collapse, [basis_density(s) for s in labels], [t_flip])
@@ -305,6 +323,22 @@ def _extract_range(result: SweepResult) -> None:
         result.limiting_high = result.points[hi + 1].first_failure()
 
 
+def bisect_boundary(passes, passing: float, failing: float, width: float) -> float:
+    """Halve a pass/fail bracket until it is at most `width` wide.
+
+    `passes(x)` decides each midpoint; `passing` and `failing` are the ends
+    known to pass and to fail, in either order.  Returns the midpoint of
+    the final bracket.
+    """
+    while abs(failing - passing) > width:
+        mid = 0.5 * (passing + failing)
+        if passes(mid):
+            passing = mid
+        else:
+            failing = mid
+    return 0.5 * (passing + failing)
+
+
 def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
                     thresholds: Thresholds, passing: float, failing: float, *,
                     sig_figs: int = 3):
@@ -314,17 +348,17 @@ def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
     info comes from the failing evaluation closest to the boundary.
     """
     limit = None
+
+    def passes(gradient):
+        nonlocal limit
+        point = evaluate_point(template, gradient, noise, thresholds)
+        if not point.passed:
+            limit = point.first_failure()
+        return point.passed
+
     scale = 10.0 ** (math.floor(math.log10(max(abs(passing), abs(failing))))
                      - sig_figs + 1)
-    while abs(failing - passing) > 0.5 * scale:
-        mid = 0.5 * (passing + failing)
-        point = evaluate_point(template, mid, noise, thresholds)
-        if point.passed:
-            passing = mid
-        else:
-            failing = mid
-            limit = point.first_failure()
-    return 0.5 * (passing + failing), limit
+    return bisect_boundary(passes, passing, failing, 0.5 * scale), limit
 
 
 def operating_range(template: SweepTemplate, gradients, noise: NoiseConfig,

@@ -12,15 +12,16 @@ then frozen as the package defaults:
   passing run sits at GRADIENT_LOW_TARGET.
 
 Each fit is a one-dimensional bisection on the log of the constant, using
-the monotone dependence of the boundary on the rate strength.  The
-resulting pair is frozen in the noise module; this module exists so the
-fit can be reproduced.
+the monotone dependence of the boundary on the rate strength, through
+`analysis.bisect_boundary`, the bisection that also refines range
+boundaries.  The resulting pair is frozen in the noise module; this
+module exists so the fit can be reproduced.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .analysis import SweepTemplate, Thresholds, evaluate_point
+from .analysis import SweepTemplate, Thresholds, bisect_boundary, evaluate_point
 from .device import CNOT
 from .noise import NoiseConfig
 
@@ -38,32 +39,19 @@ GRADIENT_LOW_TARGET = 0.0075  # tesla, lower bound of the low-field row
 # knife edge and can empty the row.
 
 
-def _passes(template: SweepTemplate, gradient: float, noise: NoiseConfig) -> bool:
-    point = evaluate_point(template, gradient, noise, Thresholds())
-    return point.passed
+def _fit_log10(row: SweepTemplate, gradient: float, base: NoiseConfig, field: str,
+               log10_lo: float, log10_hi: float, tol: float) -> float:
+    """Bisect log10 of the noise constant `field` where `row` stops passing at
+    `gradient`; the bracket must pass at log10_lo and fail at log10_hi."""
+    def passes(log10_value):
+        noise = replace(base, **{field: 10.0 ** log10_value})
+        return evaluate_point(row, gradient, noise, Thresholds()).passed
 
-
-def find_boundary(template: SweepTemplate, noise: NoiseConfig, lo: float,
-                  hi: float, *, rising: bool, tol: float = 1e-4) -> float:
-    """Bisect the pass/fail gradient boundary in (lo, hi).
-
-    rising=True means the configuration passes at hi and fails at lo (a
-    lower bound of the operating range); rising=False the opposite.
-    """
-    pass_lo = _passes(template, lo, noise)
-    pass_hi = _passes(template, hi, noise)
-    if pass_lo == pass_hi:
-        raise ValueError(f"no boundary bracketed in ({lo}, {hi}): "
-                         f"pass(lo)={pass_lo}, pass(hi)={pass_hi}")
-    if rising and pass_lo:
-        raise ValueError("expected failure at the low end")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _passes(template, mid, noise) == pass_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not passes(log10_lo):
+        raise ValueError("log10_lo already fails at the target gradient")
+    if passes(log10_hi):
+        raise ValueError("log10_hi still passes at the target gradient")
+    return 10.0 ** bisect_boundary(passes, log10_lo, log10_hi, tol)
 
 
 def calibrate_phonon_p(base: NoiseConfig, *, log10_lo: float = -18.0,
@@ -74,19 +62,8 @@ def calibrate_phonon_p(base: NoiseConfig, *, log10_lo: float = -18.0,
     phonon_p (stronger noise fails earlier), so the fitted constant is the
     value at which that outcome flips.
     """
-    target_gradient = B_CONTROL_TARGET - HIGH_ROW.fixed_field
-    lo, hi = log10_lo, log10_hi
-    if not _passes(HIGH_ROW, target_gradient, replace(base, phonon_p=10.0 ** lo)):
-        raise ValueError("log10_lo already fails at the target gradient")
-    if _passes(HIGH_ROW, target_gradient, replace(base, phonon_p=10.0 ** hi)):
-        raise ValueError("log10_hi still passes at the target gradient")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _passes(HIGH_ROW, target_gradient, replace(base, phonon_p=10.0 ** mid)):
-            lo = mid
-        else:
-            hi = mid
-    return 10.0 ** (0.5 * (lo + hi))
+    return _fit_log10(HIGH_ROW, B_CONTROL_TARGET - HIGH_ROW.fixed_field, base,
+                      "phonon_p", log10_lo, log10_hi, tol)
 
 
 def calibrate_upsilon(base: NoiseConfig, *, log10_lo: float = 3.0,
@@ -96,18 +73,8 @@ def calibrate_upsilon(base: NoiseConfig, *, log10_lo: float = 3.0,
     At the target gradient the configuration passes for weak hyperfine
     noise and fails for strong, so the fit bisects the flip point.
     """
-    lo, hi = log10_lo, log10_hi
-    if not _passes(LOW_ROW, GRADIENT_LOW_TARGET, replace(base, upsilon=10.0 ** lo)):
-        raise ValueError("log10_lo already fails at the target gradient")
-    if _passes(LOW_ROW, GRADIENT_LOW_TARGET, replace(base, upsilon=10.0 ** hi)):
-        raise ValueError("log10_hi still passes at the target gradient")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _passes(LOW_ROW, GRADIENT_LOW_TARGET, replace(base, upsilon=10.0 ** mid)):
-            lo = mid
-        else:
-            hi = mid
-    return 10.0 ** (0.5 * (lo + hi))
+    return _fit_log10(LOW_ROW, GRADIENT_LOW_TARGET, base, "upsilon",
+                      log10_lo, log10_hi, tol)
 
 
 def run_calibration() -> dict:

@@ -29,7 +29,7 @@ from . import __version__, analysis, device
 from .config import AUTO, ConfigError, RunSpec, parse_config, sweep_axis
 from .device import CNOT, DeviceConfig
 from .lindblad import propagate
-from .noise import NoiseConfig, build_collapse_set
+from .noise import NoiseConfig
 from .operators import basis_density
 
 
@@ -74,18 +74,13 @@ def template_from_spec(spec: RunSpec, fixed_field: float) -> analysis.SweepTempl
 
 
 def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
-    cfg = device.resolve_drive(device_from_spec(spec))
-    noise = noise_from_spec(spec)
+    cfg, h, collapse = analysis.point_model(device_from_spec(spec), noise_from_spec(spec))
     if spec.t_end_ns == AUTO:
-        t_end = analysis.flip_time(cfg)
+        t_end = analysis.flip_time(cfg, h_rwa=h)
     else:
         t_end = device.ns_to_time(spec.t_end_ns)
     extras["resolved_drive_frequency_ueV"] = float(cfg.drive_frequency)
     extras["t_end_ns"] = device.time_to_ns(t_end)
-    eig = device.static_eigensystem(cfg)
-    zeeman = analysis._basis_zeeman(cfg) if noise.phonon_e_mode == "bare_zeeman" else None
-    collapse = build_collapse_set(eig, noise, zeeman_energies=zeeman)
-    h = device.build_hamiltonian_rwa(cfg)
     times = np.linspace(0.0, t_end, spec.samples)
     states = propagate(h, collapse, [basis_density(spec.initial_state)], times)[0]
     pops = [[analysis.population_up(rho, q) for rho in states]
@@ -134,6 +129,13 @@ def run_sweep_mode(spec: RunSpec, out_dir: Path, workers: int) -> list:
     return paths
 
 
+def _varied_fields(template: analysis.SweepTemplate, gradient: float) -> list:
+    """Static fields the gradient moves: every field but the fixed one."""
+    fields = list(template.config(gradient).b_fields)
+    fields.remove(template.fixed_field)
+    return fields
+
+
 def _role_of(template: analysis.SweepTemplate, limit) -> tuple:
     if limit is None:
         return "", ""
@@ -161,36 +163,23 @@ def run_ranges(spec: RunSpec, out_dir: Path, workers: int) -> list:
         template = template_from_spec(spec, fixed)
         result = analysis.operating_range(template, gradients, noise, thresholds,
                                           workers=workers, refine=spec.sweep_refine)
+        row = [_fmt(spec.b_ac), *map(_fmt, template.exchange), _fmt(fixed)]
         if result.empty:
-            lo_grad = hi_grad = None
+            row += ["empty"] + [""] * (2 * len(_varied_fields(template, 1.0)) + 2)
         else:
             lo_grad, hi_grad = result.range_gradients
             if result.refined_low is not None:
                 lo_grad = result.refined_low
             if result.refined_high is not None:
                 hi_grad = result.refined_high
-        state_lo, role_lo = _role_of(template, result.limiting_low)
-        state_hi, role_hi = _role_of(template, result.limiting_high)
-        if spec.gate == CNOT:
-            row = [_fmt(spec.b_ac), _fmt(spec.j), _fmt(fixed)]
-            if lo_grad is None:
-                row += ["empty", "", "", "", ""]
-            else:
-                row += ["ok", _fmt(fixed + lo_grad), _fmt(fixed + hi_grad),
-                        "true" if result.open_low else "false",
-                        "true" if result.open_high else "false"]
-            row += [state_lo, role_lo, state_hi, role_hi]
-        else:
-            row = [_fmt(spec.b_ac), _fmt(spec.j12), _fmt(spec.j23), _fmt(fixed)]
-            if lo_grad is None:
-                row += ["empty", "", "", "", "", "", ""]
-            else:
-                row += ["ok",
-                        _fmt(fixed + lo_grad), _fmt(fixed + hi_grad),
-                        _fmt(fixed + 2 * lo_grad), _fmt(fixed + 2 * hi_grad),
-                        "true" if result.open_low else "false",
-                        "true" if result.open_high else "false"]
-            row += [state_lo, role_lo, state_hi, role_hi]
+            row.append("ok")
+            for low, high in zip(_varied_fields(template, lo_grad),
+                                 _varied_fields(template, hi_grad)):
+                row += [_fmt(low), _fmt(high)]
+            row += ["true" if result.open_low else "false",
+                    "true" if result.open_high else "false"]
+        row += [*_role_of(template, result.limiting_low),
+                *_role_of(template, result.limiting_high)]
         rows.append(",".join(row))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .device import AUTO, CNOT, GATES, G_DEFAULT
+from .noise import PHONON_E_MODES
 
 MODES = ("simulate", "sweep", "ranges")
 SCALES = ("linear", "log")
-PHONON_E_MODES = ("gap", "bare_zeeman")
 
 DEFAULT_POINTS_PER_DECADE = 60
 

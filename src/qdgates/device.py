@@ -248,17 +248,19 @@ def _magnetization(label: str) -> int:
     return sum(1 if ch == "u" else -1 for ch in label)
 
 
-def resolve_drive(cfg: DeviceConfig) -> DeviceConfig:
+def resolve_drive(cfg: DeviceConfig, eig: EigenSystem = None) -> DeviceConfig:
     """Resolve drive_frequency = "auto" against the drive-free spectrum.
 
     The signed value makes the two gate-transition levels degenerate in
     the rotating frame: omega = 2 (w_b - w_a) / (m_a - m_b) where m is the
     total z magnetization of the labeled states.  For single-spin-flip
-    transitions this is just the signed gap.
+    transitions this is just the signed gap.  `eig` is the drive-free
+    eigensystem of `cfg` when the caller has built it already.
     """
     if cfg.resolved():
         return cfg
-    eig = static_eigensystem(cfg)
+    if eig is None:
+        eig = static_eigensystem(cfg)
     a, b = gate_transition(cfg)
     w_a, w_b = eig.energy_of(a), eig.energy_of(b)
     omega = 2.0 * (w_b - w_a) / (_magnetization(a) - _magnetization(b))

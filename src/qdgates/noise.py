@@ -43,6 +43,8 @@ T2_STAR_DEFAULT = 1000.0 / HBAR  # 1 us in model time units
 
 RATE_FLOOR = 1e-30             # rates below this are clamped to zero
 
+PHONON_E_MODES = ("gap", "bare_zeeman")  # choices of NoiseConfig.phonon_e_mode
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -55,14 +57,14 @@ class NoiseConfig:
     hyperfine: bool = True
     phonon: bool = True
     dephasing: bool = True
-    phonon_e_mode: str = "gap"   # "gap" or "bare_zeeman"
+    phonon_e_mode: str = "gap"   # one of PHONON_E_MODES
 
     def __post_init__(self):
         if self.upsilon < 0 or self.phonon_p < 0:
             raise ValueError("rate constants must be non-negative")
         if self.delta_e_nuc <= 0 or self.t_k <= 0 or self.t2_star <= 0:
             raise ValueError("delta_e_nuc, t_k and t2_star must be positive")
-        if self.phonon_e_mode not in ("gap", "bare_zeeman"):
+        if self.phonon_e_mode not in PHONON_E_MODES:
             raise ValueError(f"unknown phonon_e_mode {self.phonon_e_mode!r}")
 
     def scaled(self, factor: float) -> "NoiseConfig":

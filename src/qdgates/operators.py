@@ -109,20 +109,6 @@ def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-9,
         raise ValueError(f"negative eigenvalue {evals.min()} below {eig_floor}")
 
 
-def expect(op: np.ndarray, rho: np.ndarray, imag_tol: float = 1e-10) -> float:
-    """Tr(op rho) for a Hermitian observable; imaginary residue is checked."""
-    op = np.asarray(op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if op.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {op.shape} vs {rho.shape}")
-    if not is_hermitian(op):
-        raise ValueError("expectation value requires a Hermitian operator")
-    value = np.trace(op @ rho)
-    if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
-        raise ValueError(f"imaginary residue {value.imag} exceeds tolerance")
-    return float(value.real)
-
-
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     """Reduced 2x2 state of qubit `keep`, tracing out all other qubits."""
     rho = np.asarray(rho, dtype=complex)

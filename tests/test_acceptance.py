@@ -13,6 +13,7 @@ from qdgates import analysis
 from qdgates.analysis import (
     SweepTemplate,
     Thresholds,
+    bisect_boundary,
     evaluate_point,
     flip_time,
     reclassify,
@@ -36,7 +37,7 @@ from qdgates.noise import (
 )
 from qdgates.operators import SIGMA_Z, basis_density, index_to_label, label_to_index
 
-from qdgates.calibration import LOW_ROW, find_boundary
+from qdgates.calibration import LOW_ROW
 
 from conftest import random_noisy_setup
 
@@ -169,6 +170,12 @@ def test_criterion_06_frame_equivalence():
           "agree within 2e-2 over one flip time")
 
 
+def passes_at(template, noise, thresholds):
+    """Pass/fail predicate over the gradient for `bisect_boundary`."""
+    return lambda gradient: evaluate_point(template, gradient, noise,
+                                           thresholds).passed
+
+
 def test_criterion_07_calibrated_trend():
     noise = NoiseConfig()
     thresholds = Thresholds()
@@ -176,8 +183,9 @@ def test_criterion_07_calibrated_trend():
     for b_target in (1.0, 0.75, 0.5):
         template = SweepTemplate(gate="cnot", fixed_field=b_target, b_ac=0.004,
                                  exchange=(0.42,))
-        gradient = find_boundary(template, noise, 1.2, 3.6, rising=False,
-                                 tol=2e-3)
+        passes = passes_at(template, noise, thresholds)
+        assert passes(1.2) and not passes(3.6)
+        gradient = bisect_boundary(passes, 1.2, 3.6, 2e-3)
         uppers[b_target] = b_target + gradient
         just_failing = evaluate_point(template, gradient + 0.02, noise,
                                       thresholds)
@@ -190,25 +198,20 @@ def test_criterion_07_calibrated_trend():
 
     # low-field row: the lower boundary is owned by the du state, i.e. du
     # is the last initial state to recover as the gradient grows
-    def bisect_predicate(predicate, lo, hi, tol=5e-5):
-        # predicate fails at lo and holds at hi
-        assert not predicate(lo) and predicate(hi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if predicate(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
     def verdicts_at(gradient):
         point = evaluate_point(LOW_ROW, gradient, noise, thresholds)
         return {v.initial_state: v.passed for v in point.verdicts}
 
-    b_du = bisect_predicate(lambda g: verdicts_at(g)["du"], 0.005, 0.012)
-    b_rest = bisect_predicate(
-        lambda g: all(ok for s, ok in verdicts_at(g).items() if s != "du"),
-        0.005, 0.012)
+    def du_passes(gradient):
+        return verdicts_at(gradient)["du"]
+
+    def rest_pass(gradient):
+        return all(ok for s, ok in verdicts_at(gradient).items() if s != "du")
+
+    for predicate in (du_passes, rest_pass):
+        assert not predicate(0.005) and predicate(0.012)
+    b_du = bisect_boundary(du_passes, 0.012, 0.005, 5e-5)
+    b_rest = bisect_boundary(rest_pass, 0.012, 0.005, 5e-5)
     assert b_du > b_rest, (b_du, b_rest)
     print(f"\n[criterion 7] PASS - upper control-field bounds "
           f"{uppers[1.0]:.3f} < {uppers[0.75]:.3f} < {uppers[0.5]:.3f} T "
@@ -235,7 +238,9 @@ def test_criterion_08_cnot_contains_toffoli():
     # the three-spin upper boundary is decided by a right-control crossing
     template = SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=0.004,
                              exchange=(0.42, 0.42))
-    boundary = find_boundary(template, noise, 1.05, 1.65, rising=False, tol=5e-3)
+    passes = passes_at(template, noise, thresholds)
+    assert passes(1.05) and not passes(1.65)
+    boundary = bisect_boundary(passes, 1.05, 1.65, 5e-3)
     outside = evaluate_point(template, boundary + 0.01, noise, thresholds)
     state, qubit = outside.first_failure()
     assert qubit == 2, (state, qubit)  # right control

@@ -18,7 +18,7 @@ def test_run_calibration_reproduces_frozen_defaults():
     (calibrate_phonon_p, -19.0, -18.0, "log10_hi still passes"),
     (calibrate_upsilon, 7.0, 8.0, "log10_lo already fails"),
     (calibrate_upsilon, 2.0, 3.0, "log10_hi still passes"),
-])
+], ids=["phonon_p-lo-fails", "phonon_p-hi-passes", "upsilon-lo-fails", "upsilon-hi-passes"])
 def test_bracket_that_misses_the_boundary_is_rejected(fit, log10_lo, log10_hi, message):
     with pytest.raises(ValueError, match=message):
         fit(NoiseConfig(), log10_lo=log10_lo, log10_hi=log10_hi)

@@ -86,6 +86,32 @@ sweep.fixed_fields = 0.1
 sweep.refine = false
 """
 
+# Both configs fail at every grid point, so every row is "empty": CNOT
+# under exchange crosstalk at millitesla gradients, Toffoli under phonon
+# relaxation at large ones.
+RANGES_EMPTY_CFG = """\
+mode = ranges
+device.gate = cnot
+device.j = 0.42
+device.b_ac = 4e-3
+sweep.start = 0.001
+sweep.stop = 0.004
+sweep.points = 3
+sweep.fixed_fields = 1.0, 0.5
+"""
+
+RANGES_TOFFOLI_EMPTY_CFG = """\
+mode = ranges
+device.gate = toffoli
+device.j12 = 0.42
+device.j23 = 0.42
+device.b_ac = 4e-3
+sweep.start = 2.0
+sweep.stop = 2.25
+sweep.points = 2
+sweep.fixed_fields = 0.25
+"""
+
 
 def run_cli(tmp_path, name, cfg_text, mode, out_name="out", workers=None):
     cfg = tmp_path / f"{name}.cfg"
@@ -218,6 +244,23 @@ class TestRangesMode:
         assert float(row[7]) == pytest.approx(0.7)
         assert float(row[8]) == pytest.approx(1.1)
         assert row[9] == "true" and row[10] == "true"
+
+    @pytest.mark.parametrize("cfg_text, rows, cells", [
+        (RANGES_EMPTY_CFG, 2, 12),
+        (RANGES_TOFFOLI_EMPTY_CFG, 1, 15),
+    ], ids=["cnot", "toffoli"])
+    def test_empty_row_has_header_width(self, tmp_path, cfg_text, rows, cells):
+        out = run_cli(tmp_path, "rnge", cfg_text, "ranges")
+        lines = (out / "ranges.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(header) == cells
+        assert len(lines) == 1 + rows
+        status = header.index("status")
+        for line in lines[1:]:
+            row = line.split(",")
+            assert len(row) == cells
+            assert row[status] == "empty"
+            assert row[status + 1:] == [""] * (cells - status - 1)
 
 
 class TestCliErrors:

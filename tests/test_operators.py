@@ -10,7 +10,6 @@ from qdgates.operators import (
     check_density_matrix,
     eigensystem,
     embed_pauli,
-    expect,
     index_to_label,
     kron,
     label_to_index,
@@ -181,29 +180,6 @@ class TestPartialTrace:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, 2)
-
-
-class TestExpect:
-    def test_identity_gives_trace(self, rng):
-        rho = random_density(rng, 4)
-        assert expect(np.eye(4), rho) == pytest.approx(1.0)
-
-    def test_sigma_z_eigenstate(self):
-        assert expect(SIGMA_Z, basis_density("u")) == pytest.approx(1.0)
-
-    def test_sigma_x_eigenstate(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        rho = np.outer(plus, plus)
-        assert expect(SIGMA_X, rho) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expect(np.eye(2), np.eye(4) / 4)
-
-    def test_non_hermitian_rejected(self):
-        op = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            expect(op, np.eye(2) / 2)
 
 
 class TestDensityMatrixChecks:
