@@ -1,7 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from qdgates import device
+from qdgates.analysis import _basis_zeeman
 from qdgates.device import (
     DeviceConfig,
     build_hamiltonian_lab,
@@ -16,6 +19,12 @@ from qdgates.device import (
 )
 from qdgates.lindblad import evolve
 from qdgates.operators import basis_density, embed_pauli, is_hermitian
+
+PAULI_2X2 = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def cnot_cfg(**overrides):
@@ -110,6 +119,48 @@ class TestRwaHamiltonian:
         eig = np.linalg.eigvalsh(h)
         split = np.diff(np.sort(eig)).min()
         assert split == pytest.approx(2 * cfg.drive_energy, rel=0.05)
+
+
+def on_qubits(ops: dict, n: int) -> np.ndarray:
+    """Tensor product with ops[q] on qubit q and identity elsewhere."""
+    return reduce(np.kron, [ops.get(q, np.eye(2, dtype=complex)) for q in range(n)])
+
+
+def pauli_sum(axis: str, n: int) -> np.ndarray:
+    return sum(on_qubits({q: PAULI_2X2[axis]}, n) for q in range(n))
+
+
+class TestHamiltonianTerms:
+    @pytest.mark.filterwarnings("ignore:(cnot|toffoli) expects")
+    @pytest.mark.parametrize("gate, exchange", [("cnot", (0.42,)),
+                                                ("toffoli", (0.42, 0.17))])
+    def test_exchange_term_at_zero_field(self, gate, exchange):
+        n = len(exchange) + 1
+        cfg = DeviceConfig(gate=gate, b_fields=(0.0,) * n, b_ac=0.0,
+                           exchange=exchange)
+        expected = sum(j * on_qubits({bond: PAULI_2X2[a], bond + 1: PAULI_2X2[a]}, n)
+                       for bond, j in enumerate(exchange) for a in "xyz")
+        np.testing.assert_allclose(static_hamiltonian(cfg), expected,
+                                   rtol=0, atol=1e-14)
+
+    def test_toffoli_rotating_frame_shift_and_drive(self):
+        cfg = resolve_drive(toffoli_config(0.1, 0.3, j12=0.42, j23=0.31,
+                                           b_ac=0.004))
+        omega = float(cfg.drive_frequency)
+        expected = (omega / 2) * pauli_sum("z", 3) - cfg.drive_energy * pauli_sum("x", 3)
+        np.testing.assert_allclose(
+            build_hamiltonian_rwa(cfg) - static_hamiltonian(cfg), expected,
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        cnot_config(0.4, 0.6, j=0.0, b_ac=0.004),
+        toffoli_config(0.1, 0.3, j12=0.0, j23=0.0, b_ac=0.004),
+    ])
+    def test_basis_zeeman_is_uncoupled_diagonal(self, cfg):
+        h = static_hamiltonian(cfg)
+        np.testing.assert_allclose(_basis_zeeman(cfg), np.diagonal(h).real,
+                                   rtol=0, atol=1e-12)
+        assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 0
 
 
 class TestResonance:
