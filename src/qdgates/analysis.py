@@ -246,10 +246,13 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
                    thresholds: Thresholds) -> PointResult:
     """Propagate every initial basis state to the flip time and classify.
 
-    Flip-time and propagation failures are re-raised with the failing
-    gradient attached.
+    Model-building, flip-time and propagation failures are re-raised with
+    the failing gradient attached.
     """
-    cfg, h, collapse = point_model(template.config(gradient), noise)
+    try:
+        cfg, h, collapse = point_model(template.config(gradient), noise)
+    except ValueError as exc:
+        raise ValueError(f"gradient {gradient} T: {exc}") from exc
     try:
         t_flip = flip_time(cfg, h_rwa=h)
     except FlipTimeError as exc:
@@ -266,13 +269,7 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
 
 def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
     """Diagonal static Zeeman energy of every computational basis state."""
-    energies = np.zeros(cfg.dim)
-    for idx in range(cfg.dim):
-        label = index_to_label(idx, cfg.n_qubits)
-        for q, e in enumerate(cfg.zeeman_energies):
-            z = 1.0 if label[q] == "u" else -1.0
-            energies[idx] += cfg.zeeman_sign * e * z
-    return energies
+    return device._spin_hamiltonian(cfg, exchange=False).diagonal().real.copy()
 
 
 def _point_task(args):

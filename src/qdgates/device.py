@@ -125,10 +125,6 @@ class DeviceConfig:
         return 1
 
     @property
-    def control_qubits(self) -> tuple:
-        return (0,) if self.gate == CNOT else (0, 2)
-
-    @property
     def qubit_roles(self) -> tuple:
         if self.gate == CNOT:
             return ("control", "target")
@@ -171,27 +167,29 @@ def toffoli_config(b_left: float, gradient: float, *, j12: float, j23: float,
                         exchange=(j12, j23), g=g, drive_frequency=drive_frequency)
 
 
-def _exchange_hamiltonian(cfg: DeviceConfig) -> np.ndarray:
+def _spin_hamiltonian(cfg: DeviceConfig, shift: float = 0.0, *,
+                      exchange: bool = True) -> np.ndarray:
+    """Exchange chain plus sum_q (s*e_q + shift) sigma_z^q.
+
+    s is the chain's Zeeman sign and e_q the static Zeeman energy of qubit
+    q.  Every frame is built on this one term: shift 0 for the drive-free
+    and lab-frame Hamiltonians, omega/2 in the rotating frame.  With
+    `exchange=False` only the Zeeman part is built.
+    """
     n = cfg.n_qubits
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for bond, j in enumerate(cfg.exchange):
+    for bond, j in enumerate(cfg.exchange if exchange else ()):
         for axis in "xyz":
             h += j * (embed_pauli(axis, bond, n) @ embed_pauli(axis, bond + 1, n))
+    s = cfg.zeeman_sign
+    for q, e in enumerate(cfg.zeeman_energies):
+        h += (s * e + shift) * embed_pauli("z", q, n)
     return h
-
-
-def _collective(cfg: DeviceConfig, axis: str) -> np.ndarray:
-    n = cfg.n_qubits
-    return sum(embed_pauli(axis, q, n) for q in range(n))
 
 
 def static_hamiltonian(cfg: DeviceConfig) -> np.ndarray:
     """Drive-free Hamiltonian: exchange plus static Zeeman terms."""
-    h = _exchange_hamiltonian(cfg)
-    s = cfg.zeeman_sign
-    for q, e in enumerate(cfg.zeeman_energies):
-        h += s * e * embed_pauli("z", q, cfg.n_qubits)
-    return h
+    return _spin_hamiltonian(cfg)
 
 
 def build_hamiltonian_lab(cfg: DeviceConfig, t: float) -> np.ndarray:
@@ -199,10 +197,10 @@ def build_hamiltonian_lab(cfg: DeviceConfig, t: float) -> np.ndarray:
     if not cfg.resolved():
         raise ValueError("drive frequency is unresolved; call resolve_drive first")
     omega = float(cfg.drive_frequency)
-    b = cfg.drive_energy
-    h = static_hamiltonian(cfg)
-    h -= b * (np.cos(omega * t) * _collective(cfg, "x")
-              - np.sin(omega * t) * _collective(cfg, "y"))
+    n = cfg.n_qubits
+    sx, sy = (sum(embed_pauli(axis, q, n) for q in range(n)) for axis in "xy")
+    h = _spin_hamiltonian(cfg)
+    h -= cfg.drive_energy * (np.cos(omega * t) * sx - np.sin(omega * t) * sy)
     return h
 
 
@@ -217,12 +215,9 @@ def build_hamiltonian_rwa(cfg: DeviceConfig) -> np.ndarray:
     """
     if not cfg.resolved():
         raise ValueError("drive frequency is unresolved; call resolve_drive first")
-    omega = float(cfg.drive_frequency)
-    h = _exchange_hamiltonian(cfg)
-    s = cfg.zeeman_sign
-    for q, e in enumerate(cfg.zeeman_energies):
-        h += (s * e + omega / 2.0) * embed_pauli("z", q, cfg.n_qubits)
-    h -= cfg.drive_energy * _collective(cfg, "x")
+    n = cfg.n_qubits
+    h = _spin_hamiltonian(cfg, float(cfg.drive_frequency) / 2.0)
+    h -= cfg.drive_energy * sum(embed_pauli("x", q, n) for q in range(n))
     return h
 
 

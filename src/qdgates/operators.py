@@ -13,6 +13,7 @@ density matrices are operators that additionally satisfy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -43,8 +44,13 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
+@cache
 def embed_pauli(axis: str, qubit: int, n_qubits: int) -> np.ndarray:
-    """Pauli sigma_axis acting on `qubit`, identity elsewhere."""
+    """Pauli sigma_axis acting on `qubit`, identity elsewhere.
+
+    Built once per argument triple and returned read-only, since every
+    caller shares the same array.
+    """
     if axis not in PAULI:
         raise ValueError(f"unknown Pauli axis {axis!r}")
     if not 0 <= qubit < n_qubits:
@@ -52,6 +58,7 @@ def embed_pauli(axis: str, qubit: int, n_qubits: int) -> np.ndarray:
     op = np.eye(1, dtype=complex)
     for pos in range(n_qubits):
         op = kron(op, PAULI[axis] if pos == qubit else IDENTITY_2)
+    op.setflags(write=False)
     return op
 
 

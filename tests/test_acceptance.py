@@ -7,7 +7,6 @@ pytest -s); the test name carries the criterion number so a plain
 import math
 
 import numpy as np
-import pytest
 
 from qdgates import analysis
 from qdgates.analysis import (

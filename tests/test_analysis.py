@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qdgates import analysis
 from qdgates.analysis import (
     FlipTimeError,
     SweepTemplate,
@@ -216,6 +215,13 @@ class TestSweep:
         point = evaluate_point(template, 0.5, NOISELESS, Thresholds())
         assert [v.initial_state for v in point.verdicts] == ["uu", "ud", "du", "dd"]
         assert point.passed
+
+    def test_degenerate_spectrum_names_the_gradient(self):
+        # zero target field and zero exchange leave uu/ud and du/dd degenerate
+        template = SweepTemplate(gate="cnot", fixed_field=0.0, b_ac=0.004,
+                                 exchange=(0.0,))
+        with pytest.raises(ValueError, match=r"gradient 0\.5 T: .*nondegenerate"):
+            evaluate_point(template, 0.5, NoiseConfig(), Thresholds())
 
     def test_operating_range_refines_boundary_to_three_figures(self):
         from qdgates.analysis import operating_range

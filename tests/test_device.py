@@ -3,7 +3,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qdgates import device
 from qdgates.analysis import _basis_zeeman
 from qdgates.device import (
     DeviceConfig,
@@ -18,7 +17,7 @@ from qdgates.device import (
     toffoli_config,
 )
 from qdgates.lindblad import evolve
-from qdgates.operators import basis_density, embed_pauli, is_hermitian
+from qdgates.operators import basis_density, embed_pauli, index_to_label, is_hermitian
 
 PAULI_2X2 = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -161,6 +160,13 @@ class TestHamiltonianTerms:
         np.testing.assert_allclose(_basis_zeeman(cfg), np.diagonal(h).real,
                                    rtol=0, atol=1e-12)
         assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 0
+        # label-by-label reference, summed in the same order as the builder
+        reference = np.zeros(cfg.dim)
+        for idx in range(cfg.dim):
+            label = index_to_label(idx, cfg.n_qubits)
+            for q, e in enumerate(cfg.zeeman_energies):
+                reference[idx] += cfg.zeeman_sign * e * (1.0 if label[q] == "u" else -1.0)
+        np.testing.assert_array_equal(_basis_zeeman(cfg), reference)
 
 
 class TestResonance:

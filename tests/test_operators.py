@@ -59,6 +59,13 @@ class TestEmbedPauli:
         with pytest.raises(ValueError):
             embed_pauli("x", 2, 2)
 
+    def test_shared_result_is_read_only(self):
+        op = embed_pauli("z", 0, 2)
+        with pytest.raises(ValueError):
+            op += embed_pauli("x", 1, 2)
+        np.testing.assert_array_equal(embed_pauli("z", 0, 2),
+                                      np.diag([1, 1, -1, -1]).astype(complex))
+
     def test_different_qubits_commute(self):
         for n in (2, 3):
             for ax1 in "xyz":
