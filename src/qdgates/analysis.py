@@ -15,7 +15,6 @@ the one bisection `bisect_boundary`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +26,8 @@ from .lindblad import SolverError, propagate
 from .operators import basis_density, index_to_label, partial_trace
 
 FLIP_WINDOW_FACTOR = 4.0
+FLIP_SAMPLES = 2000        # evenly spaced times of the flip-time scan
+REFINE_SIG_FIGS = 3        # significant figures of a refined boundary
 
 
 class FlipTimeError(RuntimeError):
@@ -100,12 +101,12 @@ def reclassify(verdict: GateVerdict, gate: str, thresholds: Thresholds) -> GateV
     return replace(verdict, passed=not failing, failing_qubits=failing)
 
 
-def flip_time(cfg: DeviceConfig, *, samples: int = 2000, h_rwa=None) -> float:
+def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
     """Time of the conditional pi flip in the noise-free rotating frame.
 
     Starts from the all-controls-up state, follows the target's P_up, in
-    closed form from the eigenvectors of H_rwa, on `samples` evenly spaced
-    times and returns the first interior local minimum below one half,
+    closed form from the eigenvectors of H_rwa, on FLIP_SAMPLES evenly
+    spaced times and returns the first interior local minimum below one half,
     refined by golden-section search.  Raises FlipTimeError if no such
     minimum occurs within FLIP_WINDOW_FACTOR times the analytic Rabi
     half-period pi / (2 g mu_B B_ac).  `h_rwa` is H_rwa of the resolved
@@ -128,7 +129,7 @@ def flip_time(cfg: DeviceConfig, *, samples: int = 2000, h_rwa=None) -> float:
         amplitudes = up_rows @ np.exp(-1j * np.outer(energies, np.atleast_1d(t)))
         return np.sum(np.abs(amplitudes) ** 2, axis=0)
 
-    times = np.linspace(0.0, window, samples)
+    times = np.linspace(0.0, window, FLIP_SAMPLES)
     pops = p_up(times)
     idx = None
     for i in range(1, len(pops) - 1):
@@ -272,24 +273,15 @@ def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
     return device._spin_hamiltonian(cfg, exchange=False).diagonal().real.copy()
 
 
-def _point_task(args):
-    return evaluate_point(*args)
-
-
 def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
-              thresholds: Thresholds, *, workers: int = 1) -> SweepResult:
-    """Evaluate every gradient point, in order, optionally in parallel."""
+              thresholds: Thresholds) -> SweepResult:
+    """Evaluate every gradient point, in order."""
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
         raise ValueError("sweep grid is empty")
     if np.any(np.diff(gradients) <= 0):
         raise ValueError("gradient axis must be strictly increasing")
-    tasks = [(template, g, noise, thresholds) for g in gradients]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_point_task, tasks))
-    else:
-        points = [_point_task(t) for t in tasks]
+    points = [evaluate_point(template, g, noise, thresholds) for g in gradients]
     result = SweepResult(gradients=gradients, points=points)
     _extract_range(result)
     return result
@@ -337,9 +329,8 @@ def bisect_boundary(passes, passing: float, failing: float, width: float) -> flo
 
 
 def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
-                    thresholds: Thresholds, passing: float, failing: float, *,
-                    sig_figs: int = 3):
-    """Bisect a pass/fail boundary to `sig_figs` significant figures.
+                    thresholds: Thresholds, passing: float, failing: float):
+    """Bisect a pass/fail boundary to REFINE_SIG_FIGS significant figures.
 
     Returns (boundary_gradient, (initial_state, qubit)) where the limiting
     info comes from the failing evaluation closest to the boundary.
@@ -354,20 +345,19 @@ def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
         return point.passed
 
     scale = 10.0 ** (math.floor(math.log10(max(abs(passing), abs(failing))))
-                     - sig_figs + 1)
+                     - REFINE_SIG_FIGS + 1)
     return bisect_boundary(passes, passing, failing, 0.5 * scale), limit
 
 
 def operating_range(template: SweepTemplate, gradients, noise: NoiseConfig,
-                    thresholds: Thresholds, *, workers: int = 1,
-                    refine: bool = False) -> SweepResult:
+                    thresholds: Thresholds, *, refine: bool = False) -> SweepResult:
     """Sweep a gradient grid and extract the operating range.
 
     With `refine` the two closed boundaries of the passing run are
-    bisected to three significant figures; grid-aligned endpoints stay in
-    range_indices and the refined values land in refined_low/high.
+    bisected to REFINE_SIG_FIGS significant figures; grid-aligned endpoints
+    stay in range_indices and the refined values land in refined_low/high.
     """
-    result = run_sweep(template, gradients, noise, thresholds, workers=workers)
+    result = run_sweep(template, gradients, noise, thresholds)
     if refine and not result.empty:
         lo, hi = result.range_indices
         if not result.open_low:

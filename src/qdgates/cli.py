@@ -12,9 +12,11 @@ emitting CSV plus a JSON run manifest:
 * ranges: operating-range table with bisection-refined boundaries, one row
   per fixed field.
 
-Output is deterministic: floats are formatted explicitly and results are
-gathered and sorted before writing, so files are byte-identical across
-runs at any worker count.
+Every point is evaluated in this process, one after another.  Output is
+deterministic: floats are formatted explicitly and results are gathered
+and sorted before writing, so files are byte-identical across runs.
+`--workers` and the `run.workers` key are accepted for interface
+compatibility and ignored.
 """
 from __future__ import annotations
 
@@ -113,15 +115,14 @@ def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> None:
                     ]) + "\n")
 
 
-def run_sweep_mode(spec: RunSpec, out_dir: Path, workers: int) -> list:
+def run_sweep_mode(spec: RunSpec, out_dir: Path) -> list:
     noise = noise_from_spec(spec)
     thresholds = analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
     gradients = sweep_axis(spec)
     paths = []
     for row, fixed in enumerate(spec.fixed_fields):
         template = template_from_spec(spec, fixed)
-        result = analysis.run_sweep(template, gradients, noise, thresholds,
-                                    workers=workers)
+        result = analysis.run_sweep(template, gradients, noise, thresholds)
         roles = template.config(gradients[0]).qubit_roles
         path = out_dir / f"sweep_row{row}.csv"
         _write_sweep_csv(path, result, roles)
@@ -144,7 +145,7 @@ def _role_of(template: analysis.SweepTemplate, limit) -> tuple:
     return state, roles[qubit]
 
 
-def run_ranges(spec: RunSpec, out_dir: Path, workers: int) -> list:
+def run_ranges(spec: RunSpec, out_dir: Path) -> list:
     noise = noise_from_spec(spec)
     thresholds = analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
     gradients = sweep_axis(spec)
@@ -162,7 +163,7 @@ def run_ranges(spec: RunSpec, out_dir: Path, workers: int) -> list:
     for fixed in spec.fixed_fields:
         template = template_from_spec(spec, fixed)
         result = analysis.operating_range(template, gradients, noise, thresholds,
-                                          workers=workers, refine=spec.sweep_refine)
+                                          refine=spec.sweep_refine)
         row = [_fmt(spec.b_ac), *map(_fmt, template.exchange), _fmt(fixed)]
         if result.empty:
             row += ["empty"] + [""] * (2 * len(_varied_fields(template, 1.0)) + 2)
@@ -189,13 +190,12 @@ def run_ranges(spec: RunSpec, out_dir: Path, workers: int) -> list:
 
 
 def write_manifest(spec: RunSpec, out_dir: Path, outputs: list,
-                   workers: int, extras: dict) -> Path:
+                   extras: dict) -> Path:
     noise = noise_from_spec(spec)
     manifest = {
         "tool": "qdgates",
         "version": __version__,
         "mode": spec.mode,
-        "workers": workers,
         "outputs": [p.name for p in outputs],
         "parameters": {k: (list(v) if isinstance(v, tuple) else v)
                        for k, v in vars(spec).items()},
@@ -214,18 +214,17 @@ def write_manifest(spec: RunSpec, out_dir: Path, outputs: list,
     return path
 
 
-def run(spec: RunSpec, out_dir: Path, workers: int = None) -> list:
+def run(spec: RunSpec, out_dir: Path) -> list:
     """Execute a validated RunSpec; returns the list of written files."""
-    workers = spec.workers if workers is None else workers
     out_dir.mkdir(parents=True, exist_ok=True)
     extras = {}
     if spec.mode == "simulate":
         outputs = run_simulate(spec, out_dir, extras)
     elif spec.mode == "sweep":
-        outputs = run_sweep_mode(spec, out_dir, workers)
+        outputs = run_sweep_mode(spec, out_dir)
     else:
-        outputs = run_ranges(spec, out_dir, workers)
-    outputs.append(write_manifest(spec, out_dir, outputs, workers, extras))
+        outputs = run_ranges(spec, out_dir)
+    outputs.append(write_manifest(spec, out_dir, outputs, extras))
     return outputs
 
 
@@ -239,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker count")
+                       help="accepted for interface compatibility; every "
+                            "point runs in this process and the value is ignored")
         p.add_argument("--seed", default=None,
                        help="accepted for interface compatibility; runs are "
                             "deterministic and the value is ignored")
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
         return 1
     out_dir = Path(args.out) if args.out else Path(spec.output_dir)
     try:
-        outputs = run(spec, out_dir, workers=args.workers)
+        outputs = run(spec, out_dir)
     except Exception as exc:  # propagate any solver/model failure as exit code
         print(f"error: {exc}", file=sys.stderr)
         return 1

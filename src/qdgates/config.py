@@ -77,7 +77,7 @@ class RunSpec:
     t_end_ns: object = AUTO            # "auto" or ns
     samples: int = 2000
     # run control
-    workers: int = 1
+    workers: int = 1                   # accepted and ignored: points run in-process
     output_dir: str = "out"
 
 
@@ -233,10 +233,16 @@ def validate_spec(spec: RunSpec, lines: dict = None) -> None:
         if spec.gate == CNOT:
             _require(spec, "b_control", lines)
             _require(spec, "b_target", lines)
+            _check(spec.b_control > spec.b_target,
+                   "cnot needs the control at higher field than the target",
+                   "b_control", lines)
         else:
             _require(spec, "b_left", lines)
             _require(spec, "b_center", lines)
             _require(spec, "b_right", lines)
+            order = "toffoli needs fields increasing from left control to right control"
+            _check(spec.b_center > spec.b_left, order, "b_center", lines)
+            _check(spec.b_right > spec.b_center, order, "b_right", lines)
         _require(spec, "initial_state", lines)
         n = 2 if spec.gate == CNOT else 3
         _check(len(spec.initial_state) == n

@@ -29,6 +29,7 @@ SIGMA_Z.setflags(write=False)
 IDENTITY_2.setflags(write=False)
 
 HERMITICITY_TOL = 1e-12
+DEGENERACY_TOL = 1e-12     # smallest level spacing, relative to the spectral span
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,13 +134,12 @@ class EigenSystem:
     """Sorted spectrum of a Hermitian operator with basis-state labels.
 
     energies are ascending; vectors[:, k] is the k-th eigenvector;
-    gaps[j, k] = energies[j] - energies[k]; labels[k] is the computational
-    basis label with the largest overlap, or None when no overlap exceeds
-    one half (degenerate or strongly mixed spectrum).
+    labels[k] is the computational basis label with the largest overlap,
+    or None when no overlap exceeds one half (degenerate or strongly mixed
+    spectrum).
     """
     energies: np.ndarray
     vectors: np.ndarray
-    gaps: np.ndarray
     labels: tuple
 
     @property
@@ -155,9 +155,9 @@ class EigenSystem:
     def energy_of(self, label: str) -> float:
         return float(self.energies[self.index_of(label)])
 
-    def is_degenerate(self, tol_scale: float = 1e-12) -> bool:
+    def is_degenerate(self) -> bool:
         span = max(float(self.energies[-1] - self.energies[0]), 1.0)
-        return bool(np.diff(self.energies).min() < tol_scale * span)
+        return bool(np.diff(self.energies).min() < DEGENERACY_TOL * span)
 
 
 def eigensystem(h: np.ndarray) -> EigenSystem:
@@ -172,9 +172,6 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
         overlaps = np.abs(vectors[:, k]) ** 2
         best = int(np.argmax(overlaps))
         labels.append(index_to_label(best, n) if overlaps[best] > 0.5 else None)
-    gaps = energies[:, None] - energies[None, :]
     energies.setflags(write=False)
     vectors.setflags(write=False)
-    gaps.setflags(write=False)
-    return EigenSystem(energies=energies, vectors=vectors, gaps=gaps,
-                       labels=tuple(labels))
+    return EigenSystem(energies=energies, vectors=vectors, labels=tuple(labels))

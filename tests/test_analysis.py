@@ -250,15 +250,3 @@ class TestSweep:
         t = flip_time(cfg)
         b = abs(resolved.drive_energy)
         assert t == pytest.approx(math.pi / (2 * b), rel=0.02)
-
-    def test_workers_give_same_result(self):
-        template = SweepTemplate(gate="cnot", fixed_field=0.5, b_ac=0.004,
-                                 exchange=(0.42,))
-        gradients = np.linspace(0.3, 0.9, 3)
-        serial = run_sweep(template, gradients, NOISELESS, Thresholds())
-        parallel = run_sweep(template, gradients, NOISELESS, Thresholds(),
-                             workers=2)
-        for a, b in zip(serial.points, parallel.points):
-            assert a.t_flip == pytest.approx(b.t_flip, rel=1e-12)
-            for va, vb in zip(a.verdicts, b.verdicts):
-                assert va == vb

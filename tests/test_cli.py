@@ -86,6 +86,20 @@ sweep.fixed_fields = 0.1
 sweep.refine = false
 """
 
+# The CNOT line B_target = 1 T has a closed lower boundary near 0.0136 T:
+# the first grid point fails, the rest pass, and refinement bisects the
+# first step in 8 points.
+RANGES_REFINE_CFG = """\
+mode = ranges
+device.gate = cnot
+device.j = 0.42
+device.b_ac = 4e-3
+sweep.start = 0.005
+sweep.stop = 0.045
+sweep.points = 5
+sweep.fixed_fields = 1.0
+"""
+
 # Both configs fail at every grid point, so every row is "empty": CNOT
 # under exchange crosstalk at millitesla gradients, Toffoli under phonon
 # relaxation at large ones.
@@ -261,6 +275,38 @@ class TestRangesMode:
             assert len(row) == cells
             assert row[status] == "empty"
             assert row[status + 1:] == [""] * (cells - status - 1)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("cfg_text, mode, csv_name, refine_points", [
+        (SWEEP_CFG, "sweep", "sweep_row0.csv", 0),
+        (RANGES_REFINE_CFG, "ranges", "ranges.csv", 8),
+    ], ids=["sweep", "ranges"])
+    def test_every_point_runs_in_this_process(self, tmp_path, monkeypatch, cfg_text,
+                                              mode, csv_name, refine_points):
+        from qdgates import analysis
+        from qdgates.config import parse_config, sweep_axis
+
+        evaluate_point = analysis.evaluate_point
+        calls = []
+
+        def recording(template, gradient, *args):
+            calls.append((float(gradient), os.getpid()))
+            return evaluate_point(template, gradient, *args)
+
+        monkeypatch.setattr(analysis, "evaluate_point", recording)
+        ref = run_cli(tmp_path, "ref", cfg_text, mode, out_name="ref", workers=1)
+        gradients = [g for g, _ in calls]
+        grid = [float(g) for g in sweep_axis(parse_config(cfg_text))]
+        assert gradients[:len(grid)] == grid
+        assert len(gradients) == len(grid) + refine_points
+        for name, text, workers in (("flag", cfg_text, 2),
+                                    ("key", cfg_text + "run.workers = 2\n", None)):
+            calls.clear()
+            out = run_cli(tmp_path, name, text, mode, out_name=name, workers=workers)
+            assert [g for g, _ in calls] == gradients
+            assert {pid for _, pid in calls} == {os.getpid()}
+            assert (out / csv_name).read_bytes() == (ref / csv_name).read_bytes()
 
 
 class TestCliErrors:

@@ -19,6 +19,18 @@ device.b_target = 1.0
 simulate.initial_state = uu
 """
 
+MINIMAL_TOFFOLI_SIMULATE = """
+mode = simulate
+device.gate = toffoli
+device.j12 = 0.42
+device.j23 = 0.42
+device.b_ac = 4e-3
+device.b_left = 0.25
+device.b_center = 0.55
+device.b_right = 0.85
+simulate.initial_state = uuu
+"""
+
 TABLE_ROW_SWEEP = """
 # high-field reference row
 mode = sweep
@@ -82,6 +94,20 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL_SIMULATE + "run.workers = many\n")
         assert "run.workers" in str(err.value)
+
+    @pytest.mark.parametrize("text, old, new", [
+        (MINIMAL_SIMULATE, "device.b_control = 1.5", "device.b_control = 1.0"),
+        (MINIMAL_TOFFOLI_SIMULATE, "device.b_center = 0.55", "device.b_center = 0.2"),
+        (MINIMAL_TOFFOLI_SIMULATE, "device.b_right = 0.85", "device.b_right = 0.55"),
+    ], ids=["cnot", "toffoli-center", "toffoli-right"])
+    def test_misordered_simulate_fields_name_key_and_line(self, text, old, new):
+        parse_config(text)
+        text = text.replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert repr(new.split(" = ")[0]) in str(err.value)
+        lineno = text.splitlines().index(new) + 1
+        assert f"line {lineno})" in str(err.value)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
