@@ -7,8 +7,9 @@ flip time.  P_up inside the dead zone [t_down, t_up] is a failure.  The
 flip time is found once per configuration from the noise-free
 rotating-frame evolution, in closed form from the eigenvectors of H_rwa,
 and reused for every noisy initial state, so that decoherence is never
-conflated with timing drift.  One exact `propagate` call gives all noisy
-states at the flip time; `population_up` raises rather than clips.
+conflated with timing drift.  One `propagate(h, collapse, rho0s, t_flip)`
+call, a single exact expm(L t_flip) step, gives all noisy states at the
+flip time; `population_up` raises rather than clips.
 Every pass/fail boundary, here and in the calibration fits, is located by
 the one bisection `bisect_boundary`.
 """
@@ -95,7 +96,7 @@ def classify(rho: np.ndarray, gate: str, initial: str,
                        passed=not failing, failing_qubits=failing)
 
 
-def reclassify(verdict: GateVerdict, gate: str, thresholds: Thresholds) -> GateVerdict:
+def reclassify(verdict: GateVerdict, thresholds: Thresholds) -> GateVerdict:
     """Re-threshold a stored verdict without re-running the dynamics."""
     failing = _failing_qubits(verdict.p_up, verdict.expected, thresholds)
     return replace(verdict, passed=not failing, failing_qubits=failing)
@@ -260,11 +261,11 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
         raise FlipTimeError(f"gradient {gradient} T, flip-time search: {exc}") from exc
     labels = [index_to_label(idx, cfg.n_qubits) for idx in range(cfg.dim)]
     try:
-        finals = propagate(h, collapse, [basis_density(s) for s in labels], [t_flip])
+        finals = propagate(h, collapse, [basis_density(s) for s in labels], t_flip)[:, -1]
     except SolverError as exc:
         raise SolverError(f"gradient {gradient} T: {exc}") from exc
     verdicts = tuple(classify(rho, cfg.gate, initial, thresholds)
-                     for rho, initial in zip(finals[:, 0], labels))
+                     for rho, initial in zip(finals, labels))
     return PointResult(gradient=float(gradient), t_flip=t_flip, verdicts=verdicts)
 
 

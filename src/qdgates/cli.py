@@ -84,7 +84,8 @@ def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
     extras["resolved_drive_frequency_ueV"] = float(cfg.drive_frequency)
     extras["t_end_ns"] = device.time_to_ns(t_end)
     times = np.linspace(0.0, t_end, spec.samples)
-    states = propagate(h, collapse, [basis_density(spec.initial_state)], times)[0]
+    states = propagate(h, collapse, [basis_density(spec.initial_state)], t_end,
+                       spec.samples)[0]
     pops = [[analysis.population_up(rho, q) for rho in states]
             for q in range(cfg.n_qubits)]
     trace_err = np.einsum("nii->n", states).real - 1.0

@@ -192,15 +192,18 @@ def static_hamiltonian(cfg: DeviceConfig) -> np.ndarray:
     return _spin_hamiltonian(cfg)
 
 
-def build_hamiltonian_lab(cfg: DeviceConfig, t: float) -> np.ndarray:
-    """Lab-frame Hamiltonian at model time t, with the rotating ac drive."""
+def build_hamiltonian_lab(cfg: DeviceConfig):
+    """Lab-frame t -> H(t) with the rotating ac drive; static parts built once."""
     if not cfg.resolved():
         raise ValueError("drive frequency is unresolved; call resolve_drive first")
-    omega = float(cfg.drive_frequency)
+    omega, b = float(cfg.drive_frequency), cfg.drive_energy
     n = cfg.n_qubits
     sx, sy = (sum(embed_pauli(axis, q, n) for q in range(n)) for axis in "xy")
-    h = _spin_hamiltonian(cfg)
-    h -= cfg.drive_energy * (np.cos(omega * t) * sx - np.sin(omega * t) * sy)
+    static = _spin_hamiltonian(cfg)
+
+    def h(t: float) -> np.ndarray:
+        return static - b * (np.cos(omega * t) * sx - np.sin(omega * t) * sy)
+
     return h
 
 

@@ -5,15 +5,16 @@ The equation of motion is
     drho/dt = -i [H, rho] + sum_n ( C_n rho C_n^+ - 1/2 {C_n^+ C_n, rho} )
 
 with hbar = 1 (energies in ueV, time in model units).  For a static H,
-`propagate` evaluates rho(t) = exp(L t) rho(0) exactly from one
-eigendecomposition L = V diag(lambda) V^-1, falling back to Pade
-`expm(L t)` when cond(V) exceeds EIG_COND_LIMIT (Moler & Van Loan, SIAM
-Rev. 2003; Al-Mohy & Higham, SIAM J. Sci. Comput. 2011).  `evolve`
-integrates the flattened real representation of rho with scipy's adaptive
-RK45 (Dormand-Prince 5(4)); it serves the time-dependent lab frame and the
-cross-checks.  `expm_oracle` is the independent matrix-exponential
-reference.  Trace renormalization is never applied: trace drift is kept
-as a measured error signal.
+`propagate` evaluates rho(t) = exp(L t) rho(0) on evenly spaced times:
+one scaling-and-squaring Pade exponential E = expm(L dt) (Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009); Moler & Van Loan,
+SIAM Rev. 45, 3 (2003)), applied step by step to all initial states at
+once.  It needs no eigendecomposition of L, so it stays accurate at
+exceptional points.  `evolve` integrates the flattened real representation
+of rho with scipy's adaptive RK45 (Dormand-Prince 5(4)); it serves the
+time-dependent lab frame and the cross-checks.  `expm_oracle` is the
+single-time matrix-exponential reference.  Trace renormalization is never
+applied: trace drift is kept as a measured error signal.
 
 Vectorization uses row stacking (vec(rho) = rho.ravel() in C order), so
 
@@ -32,10 +33,6 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_SAMPLES = 2000
 HERMITIZATION_TOL = 1e-8
-# Largest 2-norm condition number of the Liouvillian's eigenvector matrix
-# that `propagate` trusts; the error of V exp(lambda t) V^-1 grows as
-# cond(V) times machine epsilon.  Above it, expm(L t) is used instead.
-EIG_COND_LIMIT = 1e5
 
 
 class SolverError(RuntimeError):
@@ -112,34 +109,30 @@ def _hermitized(states: np.ndarray) -> np.ndarray:
     return (states + adjoint) / 2.0
 
 
-def propagate(h: np.ndarray, collapse, rho0s, times) -> np.ndarray:
-    """Exact rho(t), shape (len(rho0s), len(times), d, d), for a static H.
+def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
+              samples: int = 2) -> np.ndarray:
+    """Exact rho on np.linspace(0, t_end, samples) for a static H.
 
-    L is diagonalized once and V c = vec(rho0) solved once for all initial
-    states; each time then costs one product V exp(lambda t) c.  If
-    cond(V) exceeds EIG_COND_LIMIT, each time uses expm(L t) instead.  The
-    Hermiticity check of `evolve` applies; the trace is not renormalized.
+    Returns shape (len(rho0s), samples, d, d).  One step E = expm(L dt),
+    dt = t_end / (samples - 1), is applied `samples - 1` times to all
+    initial states at once.  The Hermiticity check of `evolve` applies;
+    the trace is not renormalized.
     """
     if callable(h):
         raise ValueError("propagate requires a time-independent Hamiltonian")
     h = np.asarray(h, dtype=complex)
     rho0s = np.asarray(rho0s, dtype=complex)
-    times = np.asarray(times, dtype=float)
     d = h.shape[0]
     if rho0s.ndim != 3 or rho0s.shape[1:] != h.shape:
         raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
-    if times.ndim != 1 or np.any(times < 0):
-        raise ValueError("times must be a 1-d array of non-negative values")
-    lv = liouvillian(h, collapse)
-    r0 = rho0s.reshape(len(rho0s), d * d).T                    # (d^2, n_states)
-    lam, v = np.linalg.eig(lv)
-    if np.linalg.cond(v) <= EIG_COND_LIMIT:
-        coeff = np.linalg.solve(v, r0)
-        vecs = v @ (np.exp(np.outer(times, lam))[:, :, None] * coeff)
-    else:
-        vecs = np.stack([expm(lv * t) @ r0 for t in times])
-    # vecs is (n_times, d^2, n_states)
-    states = vecs.transpose(2, 0, 1).reshape(len(rho0s), len(times), d, d)
+    if not t_end >= 0 or samples < 2:
+        raise ValueError("propagate needs t_end >= 0 and samples >= 2")
+    step = expm(liouvillian(h, collapse) * (t_end / (samples - 1)))
+    vecs = np.empty((samples, d * d, len(rho0s)), dtype=complex)
+    vecs[0] = rho0s.reshape(len(rho0s), d * d).T
+    for k in range(1, samples):
+        vecs[k] = step @ vecs[k - 1]
+    states = vecs.transpose(2, 0, 1).reshape(len(rho0s), samples, d, d)
     return _hermitized(states)
 
 

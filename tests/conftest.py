@@ -8,6 +8,7 @@ from qdgates.device import (
     static_eigensystem,
     toffoli_config,
 )
+from qdgates.lindblad import liouvillian
 from qdgates.noise import NoiseConfig, build_collapse_set
 
 
@@ -60,3 +61,16 @@ def random_noisy_setup(rng, gate):
     cfg = resolve_drive(cfg)
     collapse = build_collapse_set(static_eigensystem(cfg), NoiseConfig())
     return build_hamiltonian_rwa(cfg), collapse, cfg
+
+
+def eigenvector_reference(h, collapse, rho0, t):
+    """rho(t) = V exp(lambda t) V^-1 vec(rho0) from the eigenvectors of L.
+
+    A second exact route, independent of the matrix exponential that both
+    `propagate` and `expm_oracle` use; trusted only where V is well
+    conditioned.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    lam, v = np.linalg.eig(liouvillian(h, collapse))
+    vec = v @ (np.exp(lam * t) * np.linalg.solve(v, rho0.ravel()))
+    return vec.reshape(rho0.shape)

@@ -75,9 +75,10 @@ def test_criterion_02_physicality():
     for cfg in cases:
         collapse = build_collapse_set(static_eigensystem(cfg), NoiseConfig())
         h = build_hamiltonian_rwa(cfg)
-        times = np.linspace(0.0, flip_time(cfg), 500)
+        t_flip = flip_time(cfg)
+        times = np.linspace(0.0, t_flip, 500)
         for initial in ("u" * cfg.n_qubits, "d" * cfg.n_qubits):
-            states = propagate(h, collapse, [basis_density(initial)], times)[0]
+            states = propagate(h, collapse, [basis_density(initial)], t_flip, 500)[0]
             assert_physical(Trajectory(times=times, states=states))
     print("\n[criterion 2] PASS - trace within 1e-8, Hermiticity within 1e-8, "
           "eigenvalues above -1e-7 on exactly propagated noisy runs of both gates")
@@ -137,12 +138,13 @@ def test_criterion_05_noise_free_truth_tables():
                                                  b_ac=0.004)), 0.98),
     )
     for gate, cfg, bound in checks:
-        times = np.linspace(0.0, flip_time(cfg), 500)
+        t_flip = flip_time(cfg)
+        times = np.linspace(0.0, t_flip, 500)
         h = build_hamiltonian_rwa(cfg)
         for idx in range(cfg.dim):
             initial = index_to_label(idx, cfg.n_qubits)
             expected = analysis.expected_final(gate, initial)
-            states = propagate(h, None, [basis_density(initial)], times)[0]
+            states = propagate(h, None, [basis_density(initial)], t_flip, 500)[0]
             assert_physical(Trajectory(times=times, states=states))
             k = label_to_index(expected)
             fidelity = states[-1][k, k].real
@@ -159,8 +161,7 @@ def test_criterion_06_frame_equivalence():
     for initial in ("uu", "du"):
         rho0 = basis_density(initial)
         traj_rwa = evolve(h_rwa, None, rho0, t_end, samples=50)
-        traj_lab = evolve(lambda t: build_hamiltonian_lab(cfg, t), None, rho0,
-                          t_end, samples=50)
+        traj_lab = evolve(build_hamiltonian_lab(cfg), None, rho0, t_end, samples=50)
         assert_physical(traj_lab)
         pops_rwa = np.array([np.diagonal(s).real for s in traj_rwa.states])
         pops_lab = np.array([np.diagonal(s).real for s in traj_lab.states])
@@ -263,7 +264,7 @@ def test_criterion_09_monotonicity():
     relaxed = Thresholds(t_up=0.7, t_down=0.3)
     relaxed_passing = set()
     for i, point in enumerate(base.points):
-        verdicts = [reclassify(v, "cnot", relaxed) for v in point.verdicts]
+        verdicts = [reclassify(v, relaxed) for v in point.verdicts]
         if all(v.passed for v in verdicts):
             relaxed_passing.add(i)
     assert base_passing <= relaxed_passing

@@ -136,8 +136,8 @@ class TestClassify:
         t_flip = flip_time(cfg)
         h = build_hamiltonian_rwa(cfg)
         finals = propagate(h, None, [basis_density("uu"), basis_density("dd")],
-                           [t_flip])
-        for initial, rho in zip(("uu", "dd"), finals[:, 0]):
+                           t_flip)[:, -1]
+        for initial, rho in zip(("uu", "dd"), finals):
             verdict = classify(rho, "cnot", initial, Thresholds())
             assert verdict.passed, verdict
 
@@ -149,7 +149,7 @@ class TestClassify:
             initial = rng.choice(["uu", "ud", "du", "dd"])
             strict = classify(product_state(list(p)), "cnot", initial,
                               Thresholds(t_up=0.9, t_down=0.1))
-            relaxed = reclassify(strict, "cnot", Thresholds(t_up=0.7, t_down=0.3))
+            relaxed = reclassify(strict, Thresholds(t_up=0.7, t_down=0.3))
             if strict.passed:
                 assert relaxed.passed
 

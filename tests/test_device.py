@@ -49,7 +49,7 @@ class TestFieldToEnergy:
 class TestLabHamiltonian:
     def test_diagonal_when_uncoupled(self):
         cfg = cnot_cfg(exchange=(0.0,), b_ac=0.0, drive_frequency=0.0)
-        h = build_hamiltonian_lab(cfg, 0.0)
+        h = build_hamiltonian_lab(cfg)(0.0)
         e1, e2 = cfg.zeeman_energies
         np.testing.assert_allclose(
             h, np.diag([e1 + e2, e1 - e2, -e1 + e2, -e1 - e2]).astype(complex),
@@ -57,7 +57,7 @@ class TestLabHamiltonian:
 
     def test_drive_term_at_t0(self):
         cfg = resolve_drive(cnot_cfg())
-        h0 = build_hamiltonian_lab(cfg, 0.0)
+        h0 = build_hamiltonian_lab(cfg)(0.0)
         drive = h0 - static_hamiltonian(cfg)
         b = cfg.drive_energy
         expected = -b * (embed_pauli("x", 0, 2) + embed_pauli("x", 1, 2))
@@ -69,7 +69,7 @@ class TestLabHamiltonian:
         # so the diagonal entries are -(+-E1 +-E2 +-E3).
         cfg = DeviceConfig(gate="toffoli", b_fields=(0.1, 0.2, 0.4), b_ac=0.0,
                            exchange=(0.0, 0.0), drive_frequency=0.0)
-        h = build_hamiltonian_lab(cfg, 0.0)
+        h = build_hamiltonian_lab(cfg)(0.0)
         e = (11.5767636, 23.1535272, 46.3070544)
         expected = sorted(-(s1 * e[0] + s2 * e[1] + s3 * e[2])
                           for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1))
@@ -80,19 +80,20 @@ class TestLabHamiltonian:
         for cfg in (resolve_drive(cnot_cfg()),
                     resolve_drive(toffoli_config(0.1, 0.3, j12=0.42, j23=0.42,
                                                  b_ac=0.004))):
+            h = build_hamiltonian_lab(cfg)
             for t in rng.uniform(0.0, 50.0, size=20):
-                assert is_hermitian(build_hamiltonian_lab(cfg, t), tol=1e-12)
+                assert is_hermitian(h(t), tol=1e-12)
 
     def test_unresolved_drive_rejected(self):
         with pytest.raises(ValueError):
-            build_hamiltonian_lab(cnot_cfg(), 0.0)
+            build_hamiltonian_lab(cnot_cfg())
 
 
 class TestRwaHamiltonian:
     def test_zero_drive_zero_frequency_matches_lab(self):
         cfg = cnot_cfg(b_ac=0.0, drive_frequency=0.0)
         np.testing.assert_allclose(build_hamiltonian_rwa(cfg),
-                                   build_hamiltonian_lab(cfg, 0.0), atol=1e-12)
+                                   build_hamiltonian_lab(cfg)(0.0), atol=1e-12)
 
     def test_linear_in_drive_amplitude(self):
         base = resolve_drive(cnot_cfg())
@@ -269,9 +270,7 @@ class TestFrameEquivalence:
         # weak drive: g mu B_ac = 0.02 * g mu delta B
         cfg = resolve_drive(cnot_config(0.05, 0.05, j=0.42, b_ac=0.001))
         h_rwa = build_hamiltonian_rwa(cfg)
-
-        def h_lab(t):
-            return build_hamiltonian_lab(cfg, t)
+        h_lab = build_hamiltonian_lab(cfg)
 
         b = cfg.drive_energy
         t_end = np.pi / (2 * b)  # one conditional flip
