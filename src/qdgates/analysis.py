@@ -5,11 +5,14 @@ computational basis state, every qubit whose truth-table output is up has
 P_up above t_up and every qubit expected down has P_up below t_down at the
 flip time.  P_up inside the dead zone [t_down, t_up] is a failure.  The
 flip time is found once per configuration from the noise-free
-rotating-frame evolution, in closed form from the eigenvectors of H_rwa,
-and reused for every noisy initial state, so that decoherence is never
-conflated with timing drift.  One `propagate(h, collapse, rho0s, t_flip)`
-call, a single exact expm(L t_flip) step, gives all noisy states at the
-flip time; `population_up` raises rather than clips.
+rotating-frame evolution, in closed form from the eigenvectors of H_rwa:
+a sampled scan brackets the first minimum of the target's P_up, and a
+safeguarded Newton iteration on the closed-form dP_up/dt pins it to
+roundoff.  It is reused for every noisy initial state, so that
+decoherence is never conflated with timing drift.  One
+`propagate(h, collapse, rho0s, t_flip)` call, a single exact
+expm(L t_flip) step, gives all noisy states at the flip time;
+`population_up` raises rather than clips.
 Every pass/fail boundary, here and in the calibration fits, is located by
 the one bisection `bisect_boundary`.
 """
@@ -105,13 +108,14 @@ def reclassify(verdict: GateVerdict, thresholds: Thresholds) -> GateVerdict:
 def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
     """Time of the conditional pi flip in the noise-free rotating frame.
 
-    Starts from the all-controls-up state, follows the target's P_up, in
-    closed form from the eigenvectors of H_rwa, on FLIP_SAMPLES evenly
-    spaced times and returns the first interior local minimum below one half,
-    refined by golden-section search.  Raises FlipTimeError if no such
-    minimum occurs within FLIP_WINDOW_FACTOR times the analytic Rabi
-    half-period pi / (2 g mu_B B_ac).  `h_rwa` is H_rwa of the resolved
-    `cfg` when the caller has built it already.
+    Follows the target's P_up from the all-controls-up state, in closed
+    form from the eigenvectors of H_rwa, on FLIP_SAMPLES evenly spaced
+    times.  The two samples around the first interior local minimum below
+    one half bracket the flip, and `_stationary_point` finds the zero of
+    dP_up/dt between them.  Raises FlipTimeError if no such minimum occurs
+    within FLIP_WINDOW_FACTOR times the analytic Rabi half-period
+    pi / (2 g mu_B B_ac).  `h_rwa` is H_rwa of the resolved `cfg` when the
+    caller has built it already.
     """
     cfg = device.resolve_drive(cfg)
     b = abs(cfg.drive_energy)
@@ -120,45 +124,71 @@ def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
     window = FLIP_WINDOW_FACTOR * math.pi / (2.0 * b)
     if h_rwa is None:
         h_rwa = device.build_hamiltonian_rwa(cfg)
-    energies, vectors = np.linalg.eigh(h_rwa)
-    # psi(t) = U exp(-i E t) U^+ psi0, with psi0 the basis state |u...u> (index 0);
-    # keep the rows of the basis states whose target spin is up
-    up_rows = (vectors * vectors[0].conj())[
-        [index_to_label(i, cfg.n_qubits)[cfg.target_qubit] == "u" for i in range(cfg.dim)]]
-
-    def p_up(t):
-        amplitudes = up_rows @ np.exp(-1j * np.outer(energies, np.atleast_1d(t)))
-        return np.sum(np.abs(amplitudes) ** 2, axis=0)
-
+    energies, weights = _up_amplitudes(cfg, h_rwa)
     times = np.linspace(0.0, window, FLIP_SAMPLES)
-    pops = p_up(times)
-    idx = None
-    for i in range(1, len(pops) - 1):
-        if pops[i] < 0.5 and pops[i] <= pops[i - 1] and pops[i] <= pops[i + 1]:
-            idx = i
-            break
+    amplitudes = weights @ np.exp(-1j * np.outer(energies, times))
+    idx = _first_minimum_below_half(np.sum(np.abs(amplitudes) ** 2, axis=0))
     if idx is None:
         raise FlipTimeError("target never reached a P_up minimum below 0.5 within "
                             f"{FLIP_WINDOW_FACTOR}x the Rabi half-period")
-    return _golden_minimize(lambda t: p_up(t)[0], times[idx - 1], times[idx + 1])
+    return _stationary_point(energies, weights, times[idx - 1], times[idx + 1], times[idx])
 
 
-def _golden_minimize(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Golden-section minimizer for a unimodal scalar function on [a, b]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
+def _up_amplitudes(cfg: DeviceConfig, h_rwa: np.ndarray) -> tuple:
+    """(E, w) with P_up(t) = sum_r |sum_k w_rk exp(-i E_k t)|^2 of the target.
+
+    psi(t) = U exp(-i E t) U^+ psi0 from the basis state |u...u> (index 0);
+    the rows r are the basis states whose target spin is up.
+    """
+    energies, vectors = np.linalg.eigh(h_rwa)
+    up = [index_to_label(i, cfg.n_qubits)[cfg.target_qubit] == "u" for i in range(cfg.dim)]
+    return energies, (vectors * vectors[0].conj())[up]
+
+
+def _first_minimum_below_half(pops: np.ndarray):
+    """Index of the first interior sample below 0.5 that no neighbour undercuts, or None."""
+    inner = pops[1:-1]
+    hits = np.flatnonzero((inner < 0.5) & (inner <= pops[:-2]) & (inner <= pops[2:]))
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def _p_up_slopes(energies: np.ndarray, weights: np.ndarray, t: float) -> tuple:
+    """Closed-form (dP_up/dt, d2P_up/dt2) at time `t`.
+
+    With a = sum w e^{-iEt}, a' = sum w (-iE) e^{-iEt} and
+    a'' = sum w (-E^2) e^{-iEt} per row: P' = 2 Re sum conj(a) a' and
+    P'' = 2 sum (|a'|^2 + Re conj(a) a'').
+    """
+    phases = np.exp(-1j * energies * t)
+    a = weights @ phases
+    a1 = weights @ (-1j * energies * phases)
+    a2 = weights @ (-energies ** 2 * phases)
+    return (2.0 * np.vdot(a, a1).real,
+            2.0 * (np.vdot(a1, a1).real + np.vdot(a, a2).real))
+
+
+def _stationary_point(energies, weights, lo: float, hi: float, t: float) -> float:
+    """Zero of dP_up/dt in [lo, hi], where P_up falls at lo and rises at hi.
+
+    Safeguarded Newton iteration from `t` (rtsafe, Press et al., Numerical
+    Recipes, 3rd ed., section 9.4): every iterate shrinks the bracket on
+    the sign of P', and a bisection step replaces the Newton step whenever
+    that would leave the bracket, P'' <= 0, or it is not below half the
+    step before last.  Stops at a step below 1e-10 of `hi`; a Newton step
+    that small leaves an error far below roundoff.
+    """
+    xtol = 1e-10 * hi
+    step_old = step = hi - lo
+    while True:
+        slope, curvature = _p_up_slopes(energies, weights, t)
+        lo, hi = (t, hi) if slope < 0.0 else (lo, t)
+        newton = slope / curvature if curvature > 0.0 else math.inf
+        if lo <= t - newton <= hi and abs(2.0 * newton) <= abs(step_old):
+            step_old, step, t = step, newton, t - newton
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
+            step_old, step, t = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
+        if abs(step) <= xtol:
+            return t
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,8 @@ def validate_spec(spec: RunSpec, lines: dict = None) -> None:
         _check(spec.sweep_start > 0, "gradients must be positive", "sweep_start", lines)
         _check(len(spec.fixed_fields) >= 1, "need at least one fixed field row",
                "fixed_fields", lines)
+        _check(all(f > 0 for f in spec.fixed_fields), "fixed fields must be positive",
+               "fixed_fields", lines)
         if spec.sweep_points is not None:
             _check(spec.sweep_points >= 2, "sweep needs at least 2 points",
                    "sweep_points", lines)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 DEFAULT_RTOL = 1e-8
@@ -157,6 +156,10 @@ def evolve(h, collapse, rho0: np.ndarray, t_end: float, *,
     vec(rho); Hermiticity is enforced only at the sampling points, and the
     pre-symmetrization deviation must stay below 1e-8 or the run aborts.
     """
+    # imported here: scipy.integrate nearly doubles the package's import
+    # time, and no CLI mode integrates
+    from scipy.integrate import solve_ivp
+
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if rtol <= 0 or atol <= 0:

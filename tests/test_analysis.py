@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdgates.analysis import (
+    FLIP_SAMPLES,
+    FLIP_WINDOW_FACTOR,
     FlipTimeError,
     SweepTemplate,
     Thresholds,
@@ -14,8 +17,18 @@ from qdgates.analysis import (
     population_up,
     reclassify,
     run_sweep,
+    _first_minimum_below_half,
+    _p_up_slopes,
+    _up_amplitudes,
 )
-from qdgates.device import G_GAAS, cnot_config, resolve_drive, build_hamiltonian_rwa
+from qdgates.calibration import LOW_ROW
+from qdgates.device import (
+    G_GAAS,
+    build_hamiltonian_rwa,
+    cnot_config,
+    resolve_drive,
+    toffoli_config,
+)
 from qdgates.lindblad import propagate
 from qdgates.noise import NoiseConfig
 from qdgates.operators import basis_density, basis_ket
@@ -102,6 +115,99 @@ class TestFlipTime:
     ])
     def test_closed_form_agrees_with_rk45_search(self, cfg, rk45_value):
         assert flip_time(cfg) == pytest.approx(rk45_value, rel=1e-7)
+
+    # Flip times of the golden-section search that the Newton step
+    # replaced.  Comparing function values, it located the flat minimum
+    # only to about sqrt(machine epsilon) of the bracket.
+    @pytest.mark.parametrize("cfg, golden_value", [
+        (cnot_config(0.5, 0.5, j=0.42, b_ac=0.004), 3.35558785474062),
+        (cnot_config(0.5, 0.5, j=0.42, b_ac=0.008), 1.678537275191796),
+        (cnot_config(0.5, 0.5, j=0.42, b_ac=0.004, g=G_GAAS), 15.620391392571756),
+    ])
+    def test_newton_agrees_with_golden_section_and_is_stationary(self, cfg, golden_value):
+        t = flip_time(cfg)
+        assert t == pytest.approx(golden_value, rel=1e-8)
+        energies, weights = closed_form(cfg)
+        # roundoff of dP/dt: every phase E t carries an error of about eps |E| t
+        eps = np.finfo(float).eps
+        phase_error = eps * (1.0 + np.abs(energies).max() * t)
+        slope_roundoff = phase_error * np.sum(np.abs(weights) * np.abs(energies))
+        slope, curvature = _p_up_slopes(energies, weights, t)
+        golden_slope, _ = _p_up_slopes(energies, weights, golden_value)
+        assert curvature > 0.0
+        assert abs(slope) <= slope_roundoff < 1e-2 * abs(golden_slope)
+        # P_up differs by about P'' (t - golden)^2 / 2, far below its roundoff
+        assert p_up(energies, weights, t) <= (p_up(energies, weights, golden_value)
+                                              + phase_error)
+
+    @pytest.mark.parametrize("cfg", [
+        cnot_config(0.5, 0.5, j=0.42, b_ac=0.004),
+        toffoli_config(0.25, 1.0, j12=0.42, j23=0.42, b_ac=0.004),
+    ], ids=["cnot", "toffoli"])
+    def test_closed_form_slopes_match_finite_differences(self, cfg):
+        energies, weights = closed_form(cfg)
+        h = 1e-5
+        for t in (0.3, 1.1, 2.9):
+            slope, curvature = _p_up_slopes(energies, weights, t)
+            p_minus, p_plus = (p_up(energies, weights, t + s) for s in (-h, h))
+            slope_minus, slope_plus = (_p_up_slopes(energies, weights, t + s)[0]
+                                       for s in (-h, h))
+            assert slope == pytest.approx((p_plus - p_minus) / (2 * h), rel=1e-6, abs=1e-9)
+            assert curvature == pytest.approx((slope_plus - slope_minus) / (2 * h),
+                                              rel=1e-6, abs=1e-9)
+
+    def test_rippled_minimum_is_a_stationary_minimum_in_the_scan_bracket(self):
+        # On the hyperfine-dominated low row P_up carries a fast ripple of
+        # amplitude ~1e-8 whose curvature turns P'' negative near the flip,
+        # so the safeguard has to bisect before Newton converges.
+        cfg = resolve_drive(LOW_ROW.config(0.1441))
+        energies, weights = closed_form(cfg)
+        t = flip_time(cfg)
+        slope, curvature = _p_up_slopes(energies, weights, t)
+        window = FLIP_WINDOW_FACTOR * math.pi / (2.0 * abs(cfg.drive_energy))
+        times = np.linspace(0.0, window, FLIP_SAMPLES)
+        idx = _first_minimum_below_half(p_up(energies, weights, times))
+        assert times[idx - 1] <= t <= times[idx + 1]
+        assert curvature > 0.0
+        assert abs(slope) < 1e-12
+
+
+def closed_form(cfg):
+    """(E, w) of the target's P_up for a resolved copy of `cfg`."""
+    cfg = resolve_drive(cfg)
+    return _up_amplitudes(cfg, build_hamiltonian_rwa(cfg))
+
+
+def p_up(energies, weights, t):
+    """P_up(t) = sum_r |sum_k w_rk exp(-i E_k t)|^2, at one time or an array of them."""
+    amplitudes = weights @ np.exp(-1j * np.outer(energies, np.atleast_1d(t)))
+    return np.sum(np.abs(amplitudes) ** 2, axis=0).squeeze()
+
+
+def first_minimum_by_loop(pops):
+    """The scan rule as the flip-time search first wrote it, one sample at a time."""
+    for i in range(1, len(pops) - 1):
+        if pops[i] < 0.5 and pops[i] <= pops[i - 1] and pops[i] <= pops[i + 1]:
+            return i
+    return None
+
+
+class TestFirstMinimum:
+    # Few distinct values make plateaus and ties common; values at and above
+    # one half make arrays without any qualifying minimum.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0.0, 0.2, 0.49, 0.5, 0.51, 0.9])
+                    | st.floats(0.0, 1.0), max_size=12))
+    def test_vectorised_rule_matches_loop(self, values):
+        pops = np.array(values, dtype=float)
+        assert _first_minimum_below_half(pops) == first_minimum_by_loop(pops)
+
+    def test_plateau_takes_its_first_sample(self):
+        pops = np.array([0.9, 0.3, 0.1, 0.1, 0.1, 0.4])
+        assert _first_minimum_below_half(pops) == 2
+
+    def test_no_minimum_below_half(self):
+        assert _first_minimum_below_half(np.array([0.9, 0.5, 0.9, 0.2])) is None
 
 
 def product_state(p_up_per_qubit):

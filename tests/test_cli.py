@@ -320,6 +320,17 @@ class TestCliErrors:
         cfg.write_text(SIMULATE_CFG, encoding="utf-8")
         assert main(["sweep", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("fields", ["-1.0", "1.0, -0.5"])
+    def test_non_positive_fixed_field_writes_nothing(self, tmp_path, fields):
+        # rejected before any row runs, so nothing is written
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(RANGES_CFG.replace("sweep.fixed_fields = 1.0",
+                                          f"sweep.fixed_fields = {fields}"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ranges", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
 

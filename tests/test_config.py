@@ -109,6 +109,16 @@ class TestParse:
         lineno = text.splitlines().index(new) + 1
         assert f"line {lineno})" in str(err.value)
 
+    @pytest.mark.parametrize("fields", ["-1.0", "1.0, -0.5"])
+    def test_non_positive_fixed_field_names_key_and_line(self, fields):
+        text = TABLE_ROW_SWEEP.replace("mode = sweep", "mode = ranges").replace(
+            "sweep.fixed_fields = 1.0", f"sweep.fixed_fields = {fields}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "'sweep.fixed_fields'" in str(err.value)
+        lineno = text.splitlines().index(f"sweep.fixed_fields = {fields}") + 1
+        assert f"line {lineno})" in str(err.value)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL_SIMULATE + "device.j = 0.5\n")
