@@ -151,7 +151,7 @@ def _parse_value(raw: str, kind: str, key: str, line: int):
             return raw
     except ConfigError:
         raise
-    except ValueError:
+    except (ValueError, OverflowError):     # int(float("inf")) overflows
         raise ConfigError(f"cannot parse {raw!r} as {kind}", key, line) from None
     raise AssertionError(f"unhandled kind {kind}")
 
@@ -208,6 +208,9 @@ def validate_spec(spec: RunSpec, lines: dict = None) -> None:
                 key = _ATTR_TO_KEY[attr]
                 raise ConfigError("value must be finite", key, lines.get(key))
     _check(spec.b_ac >= 0, "b_ac must be non-negative", "b_ac", lines)
+    if spec.mode != "simulate" or spec.t_end_ns == AUTO:
+        _check(spec.b_ac > 0, "b_ac must be positive to find a flip time",
+               "b_ac", lines)
     _check(spec.g != 0, "g must be nonzero", "g", lines)
     if spec.gate == CNOT:
         _require(spec, "j", lines)

@@ -119,6 +119,42 @@ class TestParse:
         lineno = text.splitlines().index(f"sweep.fixed_fields = {fields}") + 1
         assert f"line {lineno})" in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("key", ["sweep.points", "simulate.samples", "run.workers"])
+    def test_infinite_int_names_key_and_line(self, key, raw):
+        # int(float(raw)) overflows here, which must not escape as a traceback
+        text = TABLE_ROW_SWEEP.replace("sweep.points = 12\n", "") + f"{key} = {raw}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert repr(key) in str(err.value)
+        lineno = text.splitlines().index(f"{key} = {raw}") + 1
+        assert f"line {lineno})" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        TABLE_ROW_SWEEP,
+        TABLE_ROW_SWEEP.replace("mode = sweep", "mode = ranges"),
+        MINIMAL_SIMULATE,
+    ], ids=["sweep", "ranges", "simulate-auto"])
+    @pytest.mark.parametrize("b_ac", [None, "0"], ids=["missing", "zero"])
+    def test_flip_time_modes_need_positive_b_ac(self, text, b_ac):
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("device.b_ac"))
+        if b_ac is not None:
+            text += f"device.b_ac = {b_ac}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "'device.b_ac'" in str(err.value)
+        if b_ac is not None:
+            assert f"line {len(text.splitlines())})" in str(err.value)
+
+    def test_free_evolution_simulate_accepts_zero_b_ac(self):
+        text = MINIMAL_SIMULATE.replace("device.b_ac = 4e-3", "device.b_ac = 0")
+        spec = parse_config(text + "simulate.t_end_ns = 5\n")
+        assert spec.b_ac == 0.0
+        spec = parse_config(text.replace("device.b_ac = 0\n", "")
+                            + "simulate.t_end_ns = 5\n")
+        assert spec.b_ac == 0.0
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL_SIMULATE + "device.j = 0.5\n")

@@ -1,5 +1,5 @@
-"""Every name imported in the package and its tests is used, and the CLI
-does not import what it never runs.
+"""Every name imported in the package and its tests is used, and no CLI
+mode or calibration run loads scipy.
 
 No linter ships with the test dependencies, so this scans the syntax
 trees directly.  `from __future__` imports and the re-exports of the
@@ -36,12 +36,70 @@ def test_no_unused_imports():
     assert [hit for p in paths for hit in unused_imports(p)] == []
 
 
-def test_cli_and_calibration_leave_scipy_integrate_unloaded():
-    # only the lab-frame `evolve` integrates, and no CLI mode calls it
-    code = ("import sys, qdgates.cli, qdgates.calibration; "
-            "print('scipy.integrate' in sys.modules)")
+SWEEP_CFG = """\
+mode = sweep
+device.gate = toffoli
+device.j12 = 0.42
+device.j23 = 0.42
+device.b_ac = 4e-3
+sweep.start = 0.15
+sweep.stop = 0.45
+sweep.points = 2
+sweep.fixed_fields = 0.25
+"""
+
+RANGES_CFG = """\
+mode = ranges
+device.gate = cnot
+device.j = 0.42
+device.b_ac = 4e-3
+sweep.start = 1.6
+sweep.stop = 2.4
+sweep.points = 2
+sweep.fixed_fields = 1.0
+sweep.refine = true
+"""
+
+SIMULATE_CFG = """\
+mode = simulate
+device.gate = cnot
+device.j = 0.42
+device.b_ac = 4e-3
+device.b_control = 1.5
+device.b_target = 1.0
+simulate.initial_state = uu
+simulate.samples = 5
+"""
+
+RUN_PATH = """\
+import contextlib, io, sys
+from qdgates.calibration import calibrate_upsilon
+from qdgates.cli import main
+from qdgates.noise import NoiseConfig
+with contextlib.redirect_stdout(io.StringIO()):
+    for mode, cfg, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
+        assert main([mode, "--config", cfg, "--out", out]) == 0
+calibrate_upsilon(NoiseConfig(), log10_lo=4.19, log10_hi=4.2075, tol=1e-2)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_runs_and_calibration_leave_scipy_unloaded(tmp_path):
+    # `propagate` exponentiates in numpy; only `expm_oracle` and the
+    # lab-frame `evolve` load scipy, and no CLI mode or calibration calls
+    # them.  Running the modes, not just importing them, also catches an
+    # import made lazily on the run path.
+    args = []
+    for mode, cfg in (("simulate", SIMULATE_CFG), ("sweep", SWEEP_CFG),
+                      ("ranges", RANGES_CFG)):
+        path = tmp_path / f"{mode}.cfg"
+        path.write_text(cfg, encoding="utf-8")
+        args += [mode, str(path), str(tmp_path / mode)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True)
-    assert result.stdout.strip() == "False"
+    result = subprocess.run([sys.executable, "-c", RUN_PATH, *args], env=env,
+                            check=True, capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
+    assert (tmp_path / "simulate" / "trajectory.csv").is_file()
+    assert (tmp_path / "sweep" / "sweep_row0.csv").is_file()
+    assert (tmp_path / "ranges" / "ranges.csv").is_file()

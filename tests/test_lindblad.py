@@ -1,9 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm as scipy_expm
 
+from qdgates.analysis import SweepTemplate, flip_time, point_model
+from qdgates.calibration import HIGH_ROW, LOW_ROW
 from qdgates.device import (
     build_hamiltonian_rwa,
     cnot_config,
@@ -11,6 +15,8 @@ from qdgates.device import (
     static_eigensystem,
 )
 from qdgates.lindblad import (
+    _THETA13,
+    _expm,
     evolve,
     expm_oracle,
     lindblad_rhs,
@@ -25,6 +31,45 @@ from conftest import (
     random_density,
     random_hermitian,
     random_noisy_setup,
+)
+
+TOFFOLI_ROW = SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=0.004,
+                            exchange=(0.42, 0.42))
+
+
+def flip_step_generator(row: SweepTemplate, gradient: float) -> np.ndarray:
+    """L t_flip at one grid point: the matrix that `evaluate_point` exponentiates."""
+    cfg, h, collapse = point_model(row.config(gradient), NoiseConfig())
+    return liouvillian(h, collapse) * flip_time(cfg, h_rwa=h)
+
+
+def exceptional_point_setup() -> tuple:
+    """Driven decaying two-level system at Omega = gamma / 4 (gamma = 1),
+    where two eigenvalues of L coalesce."""
+    lower = np.zeros((2, 2), dtype=complex)
+    lower[1, 0] = 1.0
+    return 0.5 * 0.25 * SIGMA_X, [lower]
+
+
+def small_norm_generator() -> np.ndarray:
+    """A complex 6x6 matrix with 1-norm below theta_13, so `_expm` does not scale."""
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    a *= 0.9 * _THETA13 / np.abs(a).sum(axis=0).max()
+    return a
+
+
+EXPM_CASES = (
+    [pytest.param(functools.partial(flip_step_generator, TOFFOLI_ROW, g),
+                  id=f"toffoli-{g:.3g}T") for g in np.linspace(0.15, 2.25, 8)]
+    + [pytest.param(functools.partial(flip_step_generator, HIGH_ROW, g),
+                    id=f"cnot-{g:.3g}T") for g in np.geomspace(0.005, 2.5, 8)]
+    + [pytest.param(functools.partial(flip_step_generator, LOW_ROW, g),
+                    id=f"low-row-{g:.3g}T") for g in np.geomspace(0.003, 0.1, 6)]
+    + [pytest.param(lambda: np.zeros((4, 4), dtype=complex), id="zero"),
+       pytest.param(small_norm_generator, id="unscaled"),
+       pytest.param(lambda: liouvillian(*exceptional_point_setup()) * 20.0,
+                    id="exceptional-point")]
 )
 
 
@@ -122,16 +167,13 @@ class TestPropagate:
         # driven decaying two-level system at Omega = gamma / 4, where two
         # eigenvalues of L coalesce and V is nearly singular: an
         # eigenvector route loses accuracy here, the stepped expm must not
-        gamma = 1.0
-        h = 0.5 * (gamma / 4.0) * SIGMA_X
-        lower = np.zeros((2, 2), dtype=complex)
-        lower[1, 0] = math.sqrt(gamma)
-        _, v = np.linalg.eig(liouvillian(h, [lower]))
+        h, collapse = exceptional_point_setup()
+        _, v = np.linalg.eig(liouvillian(h, collapse))
         assert np.linalg.cond(v) > 1e5
         rho0 = basis_density("u")
-        states = propagate(h, [lower], [rho0], 20.0, 41)[0]     # steps of 0.5
+        states = propagate(h, collapse, [rho0], 20.0, 41)[0]     # steps of 0.5
         for k, t in ((1, 0.5), (6, 3.0), (40, 20.0)):
-            np.testing.assert_allclose(states[k], expm_oracle(h, [lower], rho0, t),
+            np.testing.assert_allclose(states[k], expm_oracle(h, collapse, rho0, t),
                                        rtol=0, atol=1e-14)
 
     def test_time_zero_returns_initial_states(self, rng):
@@ -152,6 +194,12 @@ class TestPropagate:
 
 
 class TestExpmOracle:
+    @pytest.mark.parametrize("make", EXPM_CASES)
+    def test_pade13_matches_scipy_expm(self, make):
+        # `propagate` steps with the numpy `_expm`; the oracle stays scipy's
+        a = make()
+        assert np.abs(_expm(a) - scipy_expm(a)).max() <= 1e-10
+
     def test_time_zero_is_identity(self, rng):
         rho = random_density(rng, 4)
         h = random_hermitian(rng, 4)
