@@ -56,6 +56,10 @@ def noise_from_spec(spec: RunSpec) -> NoiseConfig:
     return NoiseConfig(**kwargs)
 
 
+def thresholds_from_spec(spec: RunSpec) -> analysis.Thresholds:
+    return analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
+
+
 def device_from_spec(spec: RunSpec) -> DeviceConfig:
     """Explicit-field device for simulate mode."""
     if spec.gate == CNOT:
@@ -118,7 +122,7 @@ def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> None:
 
 def run_sweep_mode(spec: RunSpec, out_dir: Path) -> list:
     noise = noise_from_spec(spec)
-    thresholds = analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
+    thresholds = thresholds_from_spec(spec)
     gradients = sweep_axis(spec)
     paths = []
     for row, fixed in enumerate(spec.fixed_fields):
@@ -148,7 +152,7 @@ def _role_of(template: analysis.SweepTemplate, limit) -> tuple:
 
 def run_ranges(spec: RunSpec, out_dir: Path) -> list:
     noise = noise_from_spec(spec)
-    thresholds = analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
+    thresholds = thresholds_from_spec(spec)
     gradients = sweep_axis(spec)
     path = out_dir / "ranges.csv"
     if spec.gate == CNOT:

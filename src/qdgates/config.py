@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import Thresholds
 from .device import AUTO, CNOT, GATES, G_DEFAULT
-from .noise import PHONON_E_MODES
+from .noise import PHONON_E_MODES, T2_STAR_NS_DEFAULT, NoiseConfig
 
 MODES = ("simulate", "sweep", "ranges")
 SCALES = ("linear", "log")
@@ -53,18 +54,18 @@ class RunSpec:
     b_center: float = None
     b_right: float = None
     # noise section
-    enable_hyperfine: bool = True
-    enable_phonon: bool = True
-    enable_dephasing: bool = True
+    enable_hyperfine: bool = NoiseConfig.hyperfine
+    enable_phonon: bool = NoiseConfig.phonon
+    enable_dephasing: bool = NoiseConfig.dephasing
     upsilon: float = None              # None = package default
     phonon_p: float = None
-    delta_e_nuc: float = 0.3
-    t_k: float = 10.0
-    t2_star_ns: float = 1000.0
-    phonon_e_mode: str = "gap"
+    delta_e_nuc: float = NoiseConfig.delta_e_nuc
+    t_k: float = NoiseConfig.t_k
+    t2_star_ns: float = T2_STAR_NS_DEFAULT
+    phonon_e_mode: str = NoiseConfig.phonon_e_mode
     # thresholds
-    t_up: float = 0.8
-    t_down: float = 0.2
+    t_up: float = Thresholds.t_up
+    t_down: float = Thresholds.t_down
     # sweep axis
     sweep_start: float = None          # tesla gradient
     sweep_stop: float = None

@@ -35,6 +35,10 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_SAMPLES = 2000
 HERMITIZATION_TOL = 1e-8
+# Largest |Tr(rho) - 1| a propagated state may show.  Below it the drift is
+# an error signal (simulate's trace_error); above it the propagator has
+# broken down, e.g. squarings that underflowed to the zero matrix.
+TRACE_TOL = 1e-3
 
 # Pade [13/13] coefficients of exp, and the largest 1-norm at which that
 # approximant's backward error stays below unit roundoff (Higham 2005)
@@ -46,17 +50,15 @@ _THETA13 = 5.371920351148152
 
 
 class SolverError(RuntimeError):
-    """Propagation failed (step-size underflow, tolerance or Hermiticity failure)."""
+    """Propagation failed: step-size underflow, tolerance, Hermiticity,
+    a non-finite value or a collapsed trace."""
 
 
-def _collapse_matrices(collapse) -> list:
-    """Accept a CollapseSet, a sequence of arrays, or None."""
+def _collapse_matrices(collapse) -> np.ndarray:
+    """(m, d, d) collapse matrices from a CollapseSet, a sequence of arrays, or None."""
     if collapse is None:
-        return []
-    matrices = getattr(collapse, "matrices", None)
-    if matrices is not None:
-        return list(matrices)
-    return [np.asarray(c, dtype=complex) for c in collapse]
+        return np.empty((0, 0, 0), dtype=complex)
+    return np.asarray(getattr(collapse, "matrices", collapse), dtype=complex)
 
 
 def lindblad_rhs(h: np.ndarray, collapse, rho: np.ndarray) -> np.ndarray:
@@ -81,9 +83,8 @@ def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    mats = _collapse_matrices(collapse)
-    if mats:
-        c = np.stack(mats)
+    c = _collapse_matrices(collapse)
+    if len(c):
         lv += np.einsum("kij,kab->iajb", c, c.conj(),
                         optimize=True).reshape(d * d, d * d)
         cdc = np.einsum("kji,kjl->il", c.conj(), c, optimize=True)
@@ -121,6 +122,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     p = V + U and q = V - U, and square r s times.
     """
     norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise SolverError(f"propagation: exponent L dt has 1-norm {norm}")
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     a = a / 2.0 ** s
     b = _PADE13
@@ -142,7 +145,7 @@ def _hermitized(states: np.ndarray) -> np.ndarray:
     """Symmetrize (..., d, d) states after checking their Hermiticity deviation."""
     adjoint = states.conj().swapaxes(-1, -2)
     herm_dev = np.abs(states - adjoint).max()
-    if herm_dev > HERMITIZATION_TOL:
+    if not herm_dev <= HERMITIZATION_TOL:      # also catches NaN
         raise SolverError(f"Hermiticity deviation {herm_dev:.3e} exceeds "
                           f"{HERMITIZATION_TOL} before symmetrization")
     return (states + adjoint) / 2.0
@@ -155,7 +158,8 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
     Returns shape (len(rho0s), samples, d, d).  One step E = expm(L dt),
     dt = t_end / (samples - 1), is applied `samples - 1` times to all
     initial states at once.  The Hermiticity check of `evolve` applies;
-    the trace is not renormalized.
+    the trace is not renormalized.  A non-finite step or state, or a
+    trace drift beyond TRACE_TOL, raises SolverError.
     """
     if callable(h):
         raise ValueError("propagate requires a time-independent Hamiltonian")
@@ -166,12 +170,21 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
         raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
     if not t_end >= 0 or samples < 2:
         raise ValueError("propagate needs t_end >= 0 and samples >= 2")
-    step = _expm(liouvillian(h, collapse) * (t_end / (samples - 1)))
-    vecs = np.empty((samples, d * d, len(rho0s)), dtype=complex)
-    vecs[0] = rho0s.reshape(len(rho0s), d * d).T
-    for k in range(1, samples):
-        vecs[k] = step @ vecs[k - 1]
+    # overflow is not warned about here: the checks below raise on its result
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _expm(liouvillian(h, collapse) * (t_end / (samples - 1)))
+        vecs = np.empty((samples, d * d, len(rho0s)), dtype=complex)
+        vecs[0] = rho0s.reshape(len(rho0s), d * d).T
+        for k in range(1, samples):
+            vecs[k] = step @ vecs[k - 1]
     states = vecs.transpose(2, 0, 1).reshape(len(rho0s), samples, d, d)
+    if not np.isfinite(states).all():
+        what = "state" if np.isfinite(step).all() else "step exp(L dt)"
+        raise SolverError(f"propagation to t = {t_end:.6g}: non-finite {what}")
+    drift = np.abs(np.einsum("...ii->...", states).real - 1.0).max()
+    if drift > TRACE_TOL:
+        raise SolverError(f"propagation to t = {t_end:.6g}: trace drift {drift:.3e} "
+                          f"exceeds {TRACE_TOL}")
     return _hermitized(states)
 
 
@@ -210,7 +223,8 @@ def evolve(h, collapse, rho0: np.ndarray, t_end: float, *,
     mats = _collapse_matrices(collapse)
 
     if callable(h):
-        lr_diss = _real_liouvillian(liouvillian(np.zeros((d, d)), mats)) if mats else None
+        lr_diss = (_real_liouvillian(liouvillian(np.zeros((d, d)), mats))
+                   if len(mats) else None)
 
         def rhs(t, y):
             rho = (y[:n] + 1j * y[n:]).reshape(d, d)

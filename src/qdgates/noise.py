@@ -1,4 +1,4 @@
-"""Hyperfine and phonon relaxation rates and Lindblad collapse operators.
+"""Hyperfine and phonon relaxation rates and the rate table of the noise model.
 
 Rates are expressed in inverse model time units (see device module for the
 time unit).  Two relaxation channels act between eigenstates of the
@@ -18,6 +18,9 @@ t_k the '+' rates dominate, so the low-lying spin configurations are the
 ones that degrade fastest.  An optional collective sigma_z^(x)n dephasing
 channel with time constant t2_star completes the set.
 
+The noise model is one rate table, `CollapseSet`, with a row per
+operator; the rate functions take scalars or arrays of gaps.
+
 upsilon and phonon_p are free constants of the model.  The shipped
 defaults were calibrated once against reference operating-range targets
 for the two-spin gate (upper bound of the high-field range and lower
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .operators import EigenSystem, SIGMA_Z, kron, label_to_index
-from .device import HBAR
+from .device import ns_to_time
 
 # Calibrated against the two-spin reference ranges; see module docstring.
 UPSILON_DEFAULT = 1.576718e4   # 1 / model time unit
@@ -39,7 +43,8 @@ PHONON_P_DEFAULT = 8.50287e-17  # 1 / (model time unit * ueV^5)
 
 DELTA_E_NUC_DEFAULT = 0.3      # ueV (GaAs nuclear field width)
 T_K_DEFAULT = 10.0             # ueV (about 125 mK)
-T2_STAR_DEFAULT = 1000.0 / HBAR  # 1 us in model time units
+T2_STAR_NS_DEFAULT = 1000.0    # ns (1 us)
+T2_STAR_DEFAULT = ns_to_time(T2_STAR_NS_DEFAULT)  # model time units
 
 RATE_FLOOR = 1e-30             # rates below this are clamped to zero
 
@@ -73,92 +78,92 @@ class NoiseConfig:
                        phonon_p=self.phonon_p * factor)
 
 
-def hyperfine_rate_down(omega: float, upsilon: float, delta_e_nuc: float) -> float:
-    """Hyperfine rate without thermal factor across a gap omega > 0."""
-    if omega <= 0:
+def hyperfine_rate_down(omega, upsilon: float, delta_e_nuc: float):
+    """Hyperfine rate without thermal factor across gaps omega > 0 (scalar or array)."""
+    if np.any(omega <= 0):
         raise ValueError("gap must be positive")
-    return upsilon * math.exp(-omega * omega / (2.0 * delta_e_nuc * delta_e_nuc))
+    return upsilon * np.exp(-omega * omega / (2.0 * delta_e_nuc * delta_e_nuc))
 
 
-def hyperfine_rate_up(omega: float, upsilon: float, delta_e_nuc: float,
-                      t_k: float) -> float:
+def hyperfine_rate_up(omega, upsilon: float, delta_e_nuc: float, t_k: float):
     """Boltzmann-weighted hyperfine rate: rate_down(omega) * exp(-omega/t_k)."""
-    if omega <= 0:
+    if np.any(omega <= 0):
         raise ValueError("gap must be positive")
-    return upsilon * math.exp(-omega * omega / (2.0 * delta_e_nuc * delta_e_nuc)
-                              - omega / t_k)
+    return upsilon * np.exp(-omega * omega / (2.0 * delta_e_nuc * delta_e_nuc)
+                            - omega / t_k)
 
 
-def phonon_rate(omega_signed: float, energy: float, p: float, t_k: float) -> float:
-    """Phonon rate for a signed gap; one formula serves both directions.
+def phonon_rate(omega_signed, energy, p: float, t_k: float):
+    """Phonon rate for signed gaps; one formula serves both directions.
 
     Positive omega gives the dominant rate, negative omega the thermally
     suppressed reverse; the pair satisfies rate(+w)/rate(-w) = exp(w/t_k).
     """
-    if omega_signed == 0:
+    if np.any(omega_signed == 0):
         raise ValueError("phonon rate is singular at zero gap")
-    # -expm1(-x) = 1 - exp(-x) without cancellation for small |x|
-    denom = -math.expm1(-omega_signed / t_k)
-    return p * abs(omega_signed ** 3 * energy * energy / denom)
+    # -expm1(-x) = 1 - exp(-x) without cancellation for small |x|; where
+    # exp(|w|/t_k) overflows, the reverse rate takes its limit, zero
+    with np.errstate(over="ignore"):
+        denom = -np.expm1(-omega_signed / t_k)
+    return p * np.abs(omega_signed ** 3 * energy * energy / denom)
 
 
+@cache
 def dephasing_operator(n_qubits: int, t2_star: float) -> np.ndarray:
-    """Collective sqrt(1/(2 t2_star)) sigma_z x ... x sigma_z operator."""
+    """Collective sqrt(1/(2 t2_star)) sigma_z x ... x sigma_z operator, read-only."""
     if n_qubits not in (2, 3):
         raise ValueError(f"dephasing operator defined for 2 or 3 qubits, got {n_qubits}")
     op = SIGMA_Z
     for _ in range(n_qubits - 1):
         op = kron(op, SIGMA_Z)
-    return math.sqrt(1.0 / (2.0 * t2_star)) * op
+    op = math.sqrt(1.0 / (2.0 * t2_star)) * op
+    op.setflags(write=False)
+    return op
 
 
-@dataclass(frozen=True)
-class CollapseOperator:
-    """One Lindblad operator with its provenance.
-
-    channel is "hyperfine", "phonon" or "dephasing"; sign is "+" or "-"
-    for the relaxation channels ("" for dephasing); transition is
-    (from_level, to_level) in ascending-energy eigenlevel indices.
-    """
-    matrix: np.ndarray
-    channel: str
-    sign: str
-    transition: tuple
-    rate: float
+@cache
+def _level_pairs(dim: int) -> tuple:
+    """Eigenlevel pairs j < k, pair by pair, as read-only (lo, hi) arrays."""
+    pairs = np.triu_indices(dim, k=1)
+    for levels in pairs:
+        levels.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)
 class CollapseSet:
-    operators: tuple
+    """The noise model as a rate table with one row per Lindblad operator.
+
+    Row i is (channel[i], sign[i], transition[i], rate[i]): channel is
+    "hyperfine", "phonon" or "dephasing"; sign is "+" or "-" for the
+    relaxation channels ("" for dephasing); transition is (from_level,
+    to_level) in ascending-energy eigenlevel indices (None for dephasing).
+    matrices[i] is the row's operator, sqrt(rate) |w_to><w_from| for a
+    relaxation row; the (m, d, d) array is read-only.
+    """
+    channel: tuple
+    sign: tuple
+    transition: tuple
+    rate: np.ndarray
+    matrices: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.operators)
-
-    def __iter__(self):
-        return iter(self.operators)
-
-    @property
-    def matrices(self) -> list:
-        return [op.matrix for op in self.operators]
+        return len(self.channel)
 
     def count(self, channel: str, sign: str = None) -> int:
-        return sum(1 for op in self.operators
-                   if op.channel == channel and (sign is None or op.sign == sign))
-
-
-def _clamped(rate: float) -> float:
-    return rate if rate >= RATE_FLOOR else 0.0
+        return sum(1 for c, s in zip(self.channel, self.sign)
+                   if c == channel and (sign is None or s == sign))
 
 
 def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
                        zeeman_energies: np.ndarray = None) -> CollapseSet:
-    """Assemble all enabled collapse operators for a nondegenerate spectrum.
+    """Rate table of all enabled channels for a nondegenerate spectrum.
 
-    For every eigenlevel pair j < k the '+' operators are rank-1 dyads
-    |w_k><w_j| scaled by sqrt(rate(gap)), the '-' operators the reverse
-    dyads with thermally weighted rates.  The phonon coupling energy E is
-    the transition gap itself in "gap" mode; "bare_zeeman" mode instead
-    uses the Zeeman splitting of the labeled basis states, which requires
+    Each rate formula is evaluated once per channel over all eigenlevel
+    pairs j < k: '+' rows move j -> k at the bare rate, '-' rows k -> j
+    at the thermally weighted rate.  The phonon coupling energy E is the
+    transition gap itself in "gap" mode; "bare_zeeman" mode instead uses
+    the Zeeman splitting of the labeled basis states, which requires
     `zeeman_energies` (per-basis-state diagonal Zeeman energies).
     """
     if eig.is_degenerate():
@@ -167,48 +172,51 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
         raise ValueError("bare_zeeman mode needs per-basis-state Zeeman energies")
 
     d = eig.dim
-    ops = []
-    if noise.hyperfine or noise.phonon:
-        for j in range(d):
-            for k in range(j + 1, d):
-                gap = float(eig.energies[k] - eig.energies[j])
-                raising = np.outer(eig.vectors[:, k], eig.vectors[:, j].conj())
-                lowering = raising.conj().T
-                if noise.hyperfine:
-                    plus = _clamped(hyperfine_rate_down(gap, noise.upsilon,
-                                                        noise.delta_e_nuc))
-                    minus = _clamped(hyperfine_rate_up(gap, noise.upsilon,
-                                                       noise.delta_e_nuc, noise.t_k))
-                    ops.append(CollapseOperator(math.sqrt(plus) * raising,
-                                                "hyperfine", "+", (j, k), plus))
-                    ops.append(CollapseOperator(math.sqrt(minus) * lowering,
-                                                "hyperfine", "-", (k, j), minus))
-                if noise.phonon:
-                    if noise.phonon_e_mode == "gap":
-                        energy = gap
-                    else:
-                        za = float(zeeman_energies[_labeled_index(eig, j)])
-                        zb = float(zeeman_energies[_labeled_index(eig, k)])
-                        energy = abs(zb - za)
-                    plus = _clamped(phonon_rate(gap, energy, noise.phonon_p, noise.t_k))
-                    minus = _clamped(phonon_rate(-gap, energy, noise.phonon_p, noise.t_k))
-                    ops.append(CollapseOperator(math.sqrt(plus) * raising,
-                                                "phonon", "+", (j, k), plus))
-                    ops.append(CollapseOperator(math.sqrt(minus) * lowering,
-                                                "phonon", "-", (k, j), minus))
+    lo, hi = _level_pairs(d)
+    gap = eig.energies[hi] - eig.energies[lo]
+    # one (channel, sign, from levels, to levels, rates) column per direction
+    columns = []
+    if noise.hyperfine:
+        columns += [("hyperfine", "+", lo, hi,
+                     hyperfine_rate_down(gap, noise.upsilon, noise.delta_e_nuc)),
+                    ("hyperfine", "-", hi, lo,
+                     hyperfine_rate_up(gap, noise.upsilon, noise.delta_e_nuc, noise.t_k))]
+    if noise.phonon:
+        if noise.phonon_e_mode == "gap":
+            energy = gap
+        else:
+            if None in eig.labels:
+                raise ValueError(f"eigenlevel {eig.labels.index(None)} has no basis "
+                                 "label; bare_zeeman mode needs a labeled spectrum")
+            zeeman = np.asarray(zeeman_energies)[[label_to_index(x) for x in eig.labels]]
+            energy = np.abs(zeeman[hi] - zeeman[lo])
+        columns += [("phonon", "+", lo, hi,
+                     phonon_rate(gap, energy, noise.phonon_p, noise.t_k)),
+                    ("phonon", "-", hi, lo,
+                     phonon_rate(-gap, energy, noise.phonon_p, noise.t_k))]
+    n_pairs = len(lo)
+    channel = tuple(c[0] for c in columns) * n_pairs
+    sign = tuple(c[1] for c in columns) * n_pairs
+    # rows pair by pair (every direction of pair 0, then of pair 1, ...);
+    # rates below RATE_FLOOR are clamped to zero
+    src, dst, rate = (np.array([c[i] for c in columns], dtype=dtype)
+                      .reshape(-1, n_pairs).T.ravel()
+                      for i, dtype in ((2, int), (3, int), (4, float)))
+    rate = np.where(rate >= RATE_FLOOR, rate, 0.0)
+    vectors = eig.vectors.T
+    matrices = np.sqrt(rate)[:, None, None] * (
+        vectors[dst][:, :, None] * vectors[src].conj()[:, None, :])
+    transition = tuple(zip(src.tolist(), dst.tolist()))
+
     if noise.dephasing:
         n_qubits = d.bit_length() - 1
-        matrix = dephasing_operator(n_qubits, noise.t2_star)
-        ops.append(CollapseOperator(matrix, "dephasing", "", None,
-                                    1.0 / (2.0 * noise.t2_star)))
-    for op in ops:
-        op.matrix.setflags(write=False)
-    return CollapseSet(operators=tuple(ops))
+        dephasing = dephasing_operator(n_qubits, noise.t2_star)
+        matrices = np.concatenate([matrices, dephasing[None]])
+        channel += ("dephasing",)
+        sign += ("",)
+        transition += (None,)
+        rate = np.append(rate, 1.0 / (2.0 * noise.t2_star))
+    matrices.setflags(write=False)
+    rate.setflags(write=False)
+    return CollapseSet(channel, sign, transition, rate, matrices)
 
-
-def _labeled_index(eig: EigenSystem, level: int) -> int:
-    label = eig.labels[level]
-    if label is None:
-        raise ValueError(f"eigenlevel {level} has no basis label; "
-                         "bare_zeeman mode needs a labeled spectrum")
-    return label_to_index(label)

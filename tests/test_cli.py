@@ -127,6 +127,13 @@ sweep.fixed_fields = 0.25
 """
 
 
+def breakdown_config(t_end_ns: str, noise: str) -> str:
+    """SIMULATE_CFG run to an explicit end time with the noise on or off."""
+    text = SIMULATE_CFG.replace("= false", f"= {noise}")
+    return text.replace("simulate.samples = 9", "simulate.samples = 3") + \
+        f"simulate.t_end_ns = {t_end_ns}\n"
+
+
 def run_cli(tmp_path, name, cfg_text, mode, out_name="out", workers=None):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(cfg_text, encoding="utf-8")
@@ -333,6 +340,29 @@ class TestCliErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("t_end_ns, noise, reason", [
+        ("1e300", "true", "trace drift"),         # squarings underflow to zero
+        ("1e300", "false", "non-finite step"),    # squarings overflow to NaN
+        ("1e308", "true", "1-norm inf"),          # L dt itself overflows
+    ])
+    def test_propagation_breakdown_is_an_error(self, tmp_path, capsys, t_end_ns,
+                                               noise, reason):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(breakdown_config(t_end_ns, noise), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "propagation" in err and reason in err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_long_noisy_run_still_succeeds(self, tmp_path):
+        from qdgates.lindblad import TRACE_TOL
+
+        out = run_cli(tmp_path, "long", breakdown_config("1e9", "true"), "simulate")
+        trace_error = float((out / "trajectory.csv").read_text().splitlines()[-1]
+                            .split(",")[-1])
+        assert 1e-7 < abs(trace_error) < TRACE_TOL     # measured 3.2e-6
 
     def test_seed_flag_accepted(self, tmp_path):
         out = run_cli(tmp_path, "sim", SIMULATE_CFG, "simulate")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qdgates.analysis import Thresholds
+from qdgates.cli import noise_from_spec, thresholds_from_spec
 from qdgates.config import (
     ConfigError,
     RunSpec,
@@ -8,6 +10,7 @@ from qdgates.config import (
     render_config,
     sweep_axis,
 )
+from qdgates.noise import NoiseConfig
 
 MINIMAL_SIMULATE = """
 mode = simulate
@@ -56,6 +59,12 @@ class TestParse:
         assert spec.t_up == 0.8 and spec.t_down == 0.2
         assert spec.drive_frequency == "auto"
         assert spec.upsilon is None  # falls back to the calibrated default
+
+    @pytest.mark.parametrize("text", [MINIMAL_SIMULATE, TABLE_ROW_SWEEP])
+    def test_minimal_config_takes_the_library_defaults(self, text):
+        spec = parse_config(text)
+        assert noise_from_spec(spec) == NoiseConfig()
+        assert thresholds_from_spec(spec) == Thresholds()
 
     def test_reference_row_sweep(self):
         spec = parse_config(TABLE_ROW_SWEEP)

@@ -16,7 +16,9 @@ from qdgates.device import (
 )
 from qdgates.lindblad import (
     _THETA13,
+    SolverError,
     _expm,
+    _hermitized,
     evolve,
     expm_oracle,
     lindblad_rhs,
@@ -181,6 +183,11 @@ class TestPropagate:
         rho0s = [random_density(rng, 4) for _ in range(3)]
         states = propagate(h, None, rho0s, 0.0)
         np.testing.assert_allclose(states[:, -1], rho0s, atol=1e-13)
+
+    def test_nan_state_fails_the_hermiticity_check(self):
+        # NaN compares False with any tolerance; the check must still fail
+        with pytest.raises(SolverError, match="Hermiticity"):
+            _hermitized(np.full((1, 2, 2), np.nan, dtype=complex))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qdgates.device import cnot_config, static_eigensystem, toffoli_config
 from qdgates.noise import (
@@ -150,7 +151,7 @@ class TestCollapseSet:
         noise = NoiseConfig(hyperfine=False, phonon=False, dephasing=True)
         cs = build_collapse_set(self._eig(2), noise)
         assert len(cs) == 1
-        assert cs.operators[0].channel == "dephasing"
+        assert cs.channel[0] == "dephasing"
 
     def test_four_level_count(self):
         cs = build_collapse_set(self._eig(2), NoiseConfig())
@@ -168,29 +169,29 @@ class TestCollapseSet:
 
     def test_rank_one_and_frobenius_norm(self):
         cs = build_collapse_set(self._eig(2), NoiseConfig())
-        for op in cs:
-            if op.channel == "dephasing":
+        for channel, rate, matrix in zip(cs.channel, cs.rate, cs.matrices):
+            if channel == "dephasing":
                 continue
-            singulars = np.linalg.svd(op.matrix, compute_uv=False)
-            if op.rate > 0:
+            singulars = np.linalg.svd(matrix, compute_uv=False)
+            if rate > 0:
                 # exactly one singular value at sqrt(rate): rank 1
-                assert singulars[0] == pytest.approx(math.sqrt(op.rate), rel=1e-12)
+                assert singulars[0] == pytest.approx(math.sqrt(rate), rel=1e-12)
                 assert singulars[1:].max() <= 1e-12 * singulars[0]
             else:
                 assert singulars.max() == 0.0
-            assert np.linalg.norm(op.matrix) == pytest.approx(
-                math.sqrt(op.rate), rel=1e-12, abs=1e-300)
+            assert np.linalg.norm(matrix) == pytest.approx(
+                math.sqrt(rate), rel=1e-12, abs=1e-300)
 
     def test_plus_operators_raise_energy(self):
         # the unsuppressed channel moves population from lower to higher
         # eigenlevels; its reverse carries the thermal factor
         eig = self._eig(2)
         cs = build_collapse_set(eig, NoiseConfig())
-        for op in cs:
-            if op.channel == "dephasing":
+        for channel, sign, transition in zip(cs.channel, cs.sign, cs.transition):
+            if channel == "dephasing":
                 continue
-            src, dst = op.transition
-            if op.sign == "+":
+            src, dst = transition
+            if sign == "+":
                 assert eig.energies[dst] > eig.energies[src]
             else:
                 assert eig.energies[dst] < eig.energies[src]
@@ -199,10 +200,11 @@ class TestCollapseSet:
         eig = self._eig(2)
         noise = NoiseConfig()
         cs = build_collapse_set(eig, noise)
-        plus = {op.transition: op.rate for op in cs
-                if op.channel == "phonon" and op.sign == "+"}
-        minus = {op.transition: op.rate for op in cs
-                 if op.channel == "phonon" and op.sign == "-"}
+        rows = list(zip(cs.channel, cs.sign, cs.transition, cs.rate))
+        plus = {transition: rate for channel, sign, transition, rate in rows
+                if channel == "phonon" and sign == "+"}
+        minus = {transition: rate for channel, sign, transition, rate in rows
+                 if channel == "phonon" and sign == "-"}
         for (j, k), rate in plus.items():
             gap = eig.energies[k] - eig.energies[j]
             reverse = minus[(k, j)]
@@ -226,12 +228,66 @@ class TestCollapseSet:
         gap_set = build_collapse_set(eig, NoiseConfig())
         bare_set = build_collapse_set(eig, NoiseConfig(phonon_e_mode="bare_zeeman"),
                                       zeeman_energies=_basis_zeeman(cfg))
-        for a, b in zip(gap_set, bare_set):
-            if a.channel == "hyperfine":
-                assert a.rate == b.rate
-        phonon_gap = [op.rate for op in gap_set if op.channel == "phonon"]
-        phonon_bare = [op.rate for op in bare_set if op.channel == "phonon"]
+        for channel, gap_rate, bare_rate in zip(gap_set.channel, gap_set.rate,
+                                                bare_set.rate):
+            if channel == "hyperfine":
+                assert gap_rate == bare_rate
+        phonon_gap = [rate for channel, rate in zip(gap_set.channel, gap_set.rate)
+                      if channel == "phonon"]
+        phonon_bare = [rate for channel, rate in zip(bare_set.channel, bare_set.rate)
+                       if channel == "phonon"]
         assert phonon_gap != phonon_bare
+
+
+class TestRateTableProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gate=st.sampled_from(["cnot", "toffoli"]),
+           log10_field=st.floats(-3.0, 0.3),
+           log10_gradient=st.floats(-3.0, 0.3),
+           exchange=st.floats(0.0, 0.5),
+           t_k=st.floats(1.0, 20.0),
+           delta_e_nuc=st.floats(0.1, 1.0))
+    def test_balance_direction_rank_and_counts(self, gate, log10_field,
+                                               log10_gradient, exchange, t_k,
+                                               delta_e_nuc):
+        # millitesla to tesla fields, so that both channels carry unclamped rates
+        field, gradient = 10.0 ** log10_field, 10.0 ** log10_gradient
+        if gate == "cnot":
+            cfg = cnot_config(field, gradient, j=exchange, b_ac=0.004)
+        else:
+            cfg = toffoli_config(field, gradient, j12=exchange, j23=exchange,
+                                 b_ac=0.004)
+        eig = static_eigensystem(cfg)
+        assume(not eig.is_degenerate())
+        noise = NoiseConfig(t_k=t_k, delta_e_nuc=delta_e_nuc)
+        cs = build_collapse_set(eig, noise)
+        d = cfg.dim
+        rows = list(zip(cs.channel, cs.sign, cs.transition, cs.rate))
+        for channel in ("hyperfine", "phonon"):
+            for sign in ("+", "-"):
+                assert cs.count(channel, sign) == d * (d - 1) // 2
+            plus = {t: r for c, s, t, r in rows if c == channel and s == "+"}
+            minus = {t: r for c, s, t, r in rows if c == channel and s == "-"}
+            assert len(plus) == len(minus) == d * (d - 1) // 2
+            for (j, k), rate in plus.items():
+                gap = eig.energies[k] - eig.energies[j]
+                assert gap > 0
+                reverse = minus[(k, j)]
+                if rate > 0 and reverse > 0:
+                    assert reverse / rate == pytest.approx(math.exp(-gap / t_k),
+                                                           rel=1e-12)
+        for channel, (j, k), rate, matrix in zip(cs.channel[:-1], cs.transition[:-1],
+                                                 cs.rate, cs.matrices):
+            # rank 1 with norm sqrt(rate), mapping w_from to sqrt(rate) w_to
+            assert channel != "dephasing"
+            singulars = np.linalg.svd(matrix, compute_uv=False)
+            assert singulars[1:].max() <= 1e-12 * singulars[0]
+            assert np.linalg.norm(matrix) == pytest.approx(math.sqrt(rate), rel=1e-12,
+                                                           abs=1e-300)
+            np.testing.assert_allclose(matrix @ eig.vectors[:, j],
+                                       math.sqrt(rate) * eig.vectors[:, k],
+                                       rtol=0, atol=1e-12 * math.sqrt(rate))
+        assert cs.channel[-1] == "dephasing"
 
 
 class TestChannelCrossover:
