@@ -47,6 +47,7 @@ from .lindblad import (
     propagate,
 )
 from .analysis import (
+    Boundary,
     FlipTimeError,
     GateVerdict,
     SweepResult,
@@ -56,7 +57,6 @@ from .analysis import (
     evaluate_point,
     expected_final,
     flip_time,
-    operating_range,
     population_up,
     run_sweep,
 )

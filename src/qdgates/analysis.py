@@ -13,8 +13,12 @@ decoherence is never conflated with timing drift.  One
 `propagate(h, collapse, rho0s, t_flip)` call, a single exact
 expm(L t_flip) step, gives all noisy states at the flip time;
 `population_up` raises rather than clips.
-Every pass/fail boundary, here and in the calibration fits, is located by
-the one bisection `bisect_boundary`.
+`run_sweep` is the one entry point for a gradient grid: it evaluates every
+point, marks the longest passing run as the operating range and describes
+each end by one `Boundary` (gradient, open flag, limiting state and qubit);
+with `refine=True`, as in `ranges` mode, it bisects both closed ends through
+the same code.  Every pass/fail boundary, here and in the calibration fits,
+is located by the one bisection `bisect_boundary`.
 """
 from __future__ import annotations
 
@@ -228,37 +232,37 @@ class PointResult:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
+class Boundary:
+    """One end of an operating range.
+
+    `gradient` (tesla) is the bisection-refined boundary of a closed end
+    when refinement ran, and the last passing grid point otherwise.
+    `limit` is the (initial_state, qubit index) that fails just outside a
+    closed end, None for an open one.
+    """
+    gradient: float
+    open: bool
+    limit: tuple = None
+
+
+@dataclass(frozen=True)
 class SweepResult:
     """Per-gradient verdicts plus the extracted operating range.
 
     range_indices are grid-aligned (lo, hi) inclusive indices of the
-    longest contiguous passing run, or None when no point passes.
-    refined_low/high are bisection-refined boundary gradients (tesla) when
-    refinement ran and the corresponding side is closed; limiting_low/high
-    give (initial_state, qubit index) of the state that fails just outside
-    each closed boundary.
+    longest contiguous passing run, and `low` and `high` its two ends; all
+    three are None when no point passes.
     """
     gradients: np.ndarray
     points: list
     range_indices: tuple = None
-    open_low: bool = False
-    open_high: bool = False
-    refined_low: float = None
-    refined_high: float = None
-    limiting_low: tuple = None
-    limiting_high: tuple = None
+    low: Boundary = None
+    high: Boundary = None
 
     @property
     def empty(self) -> bool:
         return self.range_indices is None
-
-    @property
-    def range_gradients(self) -> tuple:
-        if self.empty:
-            return None
-        lo, hi = self.range_indices
-        return float(self.gradients[lo]), float(self.gradients[hi])
 
 
 def point_model(cfg: DeviceConfig, noise: NoiseConfig) -> tuple:
@@ -305,25 +309,23 @@ def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
 
 
 def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
-              thresholds: Thresholds) -> SweepResult:
-    """Evaluate every gradient point, in order."""
+              thresholds: Thresholds, *, refine: bool = False) -> SweepResult:
+    """Evaluate every gradient point, in order, and extract the operating range.
+
+    The range is the longest contiguous passing run, the earliest one on a
+    tie.  With `refine` each closed end is bisected by `refine_boundary`,
+    low end first; its limiting state is the refinement's when it found a
+    failing point, and the grid neighbour's first failure otherwise.
+    """
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
         raise ValueError("sweep grid is empty")
     if np.any(np.diff(gradients) <= 0):
         raise ValueError("gradient axis must be strictly increasing")
     points = [evaluate_point(template, g, noise, thresholds) for g in gradients]
-    result = SweepResult(gradients=gradients, points=points)
-    _extract_range(result)
-    return result
-
-
-def _extract_range(result: SweepResult) -> None:
-    """Mark the longest contiguous passing run and its boundary failures."""
-    passing = [p.passed for p in result.points]
     best = None
     start = None
-    for i, ok in enumerate([*passing, False]):
+    for i, ok in enumerate([*(p.passed for p in points), False]):
         if ok and start is None:
             start = i
         elif not ok and start is not None:
@@ -331,16 +333,22 @@ def _extract_range(result: SweepResult) -> None:
                 best = (start, i - 1)
             start = None
     if best is None:
-        result.range_indices = None
-        return
+        return SweepResult(gradients=gradients, points=points)
+
+    def boundary(inside: int, outside: int) -> Boundary:
+        gradient, limit = gradients[inside], None
+        if not 0 <= outside < len(points):
+            return Boundary(float(gradient), open=True)
+        if refine:
+            gradient, limit = refine_boundary(template, noise, thresholds,
+                                              gradient, gradients[outside])
+        if limit is None:
+            limit = points[outside].first_failure()
+        return Boundary(float(gradient), open=False, limit=limit)
+
     lo, hi = best
-    result.range_indices = (lo, hi)
-    result.open_low = lo == 0
-    result.open_high = hi == len(result.points) - 1
-    if not result.open_low:
-        result.limiting_low = result.points[lo - 1].first_failure()
-    if not result.open_high:
-        result.limiting_high = result.points[hi + 1].first_failure()
+    return SweepResult(gradients=gradients, points=points, range_indices=best,
+                       low=boundary(lo, lo - 1), high=boundary(hi, hi + 1))
 
 
 def bisect_boundary(passes, passing: float, failing: float, width: float) -> float:
@@ -378,29 +386,3 @@ def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
     scale = 10.0 ** (math.floor(math.log10(max(abs(passing), abs(failing))))
                      - REFINE_SIG_FIGS + 1)
     return bisect_boundary(passes, passing, failing, 0.5 * scale), limit
-
-
-def operating_range(template: SweepTemplate, gradients, noise: NoiseConfig,
-                    thresholds: Thresholds, *, refine: bool = False) -> SweepResult:
-    """Sweep a gradient grid and extract the operating range.
-
-    With `refine` the two closed boundaries of the passing run are
-    bisected to REFINE_SIG_FIGS significant figures; grid-aligned endpoints
-    stay in range_indices and the refined values land in refined_low/high.
-    """
-    result = run_sweep(template, gradients, noise, thresholds)
-    if refine and not result.empty:
-        lo, hi = result.range_indices
-        if not result.open_low:
-            grad, limit = refine_boundary(template, noise, thresholds,
-                                          result.gradients[lo], result.gradients[lo - 1])
-            result.refined_low = grad
-            if limit is not None:
-                result.limiting_low = limit
-        if not result.open_high:
-            grad, limit = refine_boundary(template, noise, thresholds,
-                                          result.gradients[hi], result.gradients[hi + 1])
-            result.refined_high = grad
-            if limit is not None:
-                result.limiting_high = limit
-    return result

@@ -167,25 +167,19 @@ def run_ranges(spec: RunSpec, out_dir: Path) -> list:
     rows = []
     for fixed in spec.fixed_fields:
         template = template_from_spec(spec, fixed)
-        result = analysis.operating_range(template, gradients, noise, thresholds,
-                                          refine=spec.sweep_refine)
+        result = analysis.run_sweep(template, gradients, noise, thresholds,
+                                    refine=spec.sweep_refine)
         row = [_fmt(spec.b_ac), *map(_fmt, template.exchange), _fmt(fixed)]
         if result.empty:
-            row += ["empty"] + [""] * (2 * len(_varied_fields(template, 1.0)) + 2)
+            row += ["empty"] + [""] * (2 * len(_varied_fields(template, 1.0)) + 6)
         else:
-            lo_grad, hi_grad = result.range_gradients
-            if result.refined_low is not None:
-                lo_grad = result.refined_low
-            if result.refined_high is not None:
-                hi_grad = result.refined_high
+            low, high = result.low, result.high
             row.append("ok")
-            for low, high in zip(_varied_fields(template, lo_grad),
-                                 _varied_fields(template, hi_grad)):
-                row += [_fmt(low), _fmt(high)]
-            row += ["true" if result.open_low else "false",
-                    "true" if result.open_high else "false"]
-        row += [*_role_of(template, result.limiting_low),
-                *_role_of(template, result.limiting_high)]
+            for field_low, field_high in zip(_varied_fields(template, low.gradient),
+                                             _varied_fields(template, high.gradient)):
+                row += [_fmt(field_low), _fmt(field_high)]
+            row += [str(low.open).lower(), str(high.open).lower(),
+                    *_role_of(template, low.limit), *_role_of(template, high.limit)]
         rows.append(",".join(row))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")

@@ -19,10 +19,11 @@ Appl. 31, 970 (2009)), independent of `_expm`.  Only `expm_oracle` and
 `evolve` load scipy, so no CLI mode imports it.  Trace renormalization is
 never applied: trace drift is kept as a measured error signal.
 
-Vectorization uses row stacking (vec(rho) = rho.ravel() in C order), so
+Vectorization uses row stacking (vec(rho) = rho.ravel() in C order).  With
+the effective Hamiltonian K = H - (i/2) sum_n C_n^+ C_n, which carries the
+anticommutator term, and H Hermitian,
 
-    L = -i (H (x) I - I (x) H^T) + sum_n C_n (x) conj(C_n)
-        - 1/2 ( S (x) I + I (x) S^T ),    S = sum_n C_n^+ C_n.
+    L = -i K (x) I + i I (x) conj(K) + sum_n C_n (x) conj(C_n).
 """
 from __future__ import annotations
 
@@ -78,18 +79,22 @@ def lindblad_rhs(h: np.ndarray, collapse, rho: np.ndarray) -> np.ndarray:
 
 
 def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
-    """Vectorized generator L with vec(rho) = rho.ravel() (row stacking)."""
+    """Vectorized generator L with vec(rho) = rho.ravel() (row stacking).
+
+    `h` must be Hermitian, since conj(K) stands in for the transposes of
+    H and sum_n C_n^+ C_n.
+    """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     c = _collapse_matrices(collapse)
     if len(c):
-        lv += np.einsum("kij,kab->iajb", c, c.conj(),
-                        optimize=True).reshape(d * d, d * d)
-        cdc = np.einsum("kji,kjl->il", c.conj(), c, optimize=True)
-        lv -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    return lv
+        k = h - 0.5j * np.einsum("kji,kjl->il", c.conj(), c, optimize=True)
+        jumps = np.einsum("kij,kab->iajb", c, c.conj(),
+                          optimize=True).reshape(d * d, d * d)
+    else:
+        k, jumps = h, 0.0
+    return -1j * np.kron(k, eye) + 1j * np.kron(eye, k.conj()) + jumps
 
 
 def _real_liouvillian(lv: np.ndarray) -> np.ndarray:
@@ -185,7 +190,10 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
     if drift > TRACE_TOL:
         raise SolverError(f"propagation to t = {t_end:.6g}: trace drift {drift:.3e} "
                           f"exceeds {TRACE_TOL}")
-    return _hermitized(states)
+    try:
+        return _hermitized(states)
+    except SolverError as exc:
+        raise SolverError(f"propagation to t = {t_end:.6g}: {exc}") from exc
 
 
 @dataclass

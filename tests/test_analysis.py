@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qdgates import analysis
 from qdgates.analysis import (
     FLIP_SAMPLES,
     FLIP_WINDOW_FACTOR,
     FlipTimeError,
+    GateVerdict,
+    PointResult,
     SweepTemplate,
     Thresholds,
     classify,
@@ -279,7 +282,7 @@ class TestSweep:
         result = run_sweep(template, gradients, NOISELESS, Thresholds())
         assert not result.empty
         assert result.range_indices == (0, 3)
-        assert result.open_low and result.open_high
+        assert result.low.open and result.high.open
 
     def test_huge_noise_empties_range(self):
         template = SweepTemplate(gate="cnot", fixed_field=0.5, b_ac=0.004,
@@ -330,22 +333,20 @@ class TestSweep:
             evaluate_point(template, 0.5, NoiseConfig(), Thresholds())
 
     def test_operating_range_refines_boundary_to_three_figures(self):
-        from qdgates.analysis import operating_range
-
         template = SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004,
                                  exchange=(0.42,))
         gradients = np.linspace(1.7, 2.3, 4)  # boundary sits near 2.01
-        result = operating_range(template, gradients, NoiseConfig(),
-                                 Thresholds(), refine=True)
+        result = run_sweep(template, gradients, NoiseConfig(), Thresholds(),
+                           refine=True)
         assert not result.empty
         lo, hi = result.range_indices
-        assert result.open_low and not result.open_high
-        assert result.refined_high is not None
-        assert gradients[hi] <= result.refined_high <= gradients[hi + 1]
+        assert result.low.open and not result.high.open
+        assert result.high.gradient != gradients[hi]     # refined, not the grid point
+        assert gradients[hi] <= result.high.gradient <= gradients[hi + 1]
         # three significant figures: the bisection interval closes below
         # half a unit in the third figure
-        assert result.refined_high == pytest.approx(2.01, abs=0.03)
-        assert result.limiting_high == ("dd", 0)
+        assert result.high.gradient == pytest.approx(2.01, abs=0.03)
+        assert result.high.limit == ("dd", 0)
 
     def test_negative_g_factor_still_flips(self):
         # GaAs-like preset: the signed drive resolution flips polarity with
@@ -356,3 +357,66 @@ class TestSweep:
         t = flip_time(cfg)
         b = abs(resolved.drive_energy)
         assert t == pytest.approx(math.pi / (2 * b), rel=0.02)
+
+
+def longest_run_by_enumeration(passing):
+    """(lo, hi) of the longest all-pass run, the earliest on a tie, or None."""
+    runs = [(lo, hi) for lo in range(len(passing)) for hi in range(lo, len(passing))
+            if all(passing[lo:hi + 1])]
+    return max(runs, key=lambda run: (run[1] - run[0], -run[0]), default=None)
+
+
+class TestRangeExtraction:
+    """`run_sweep`'s range and boundaries from fake verdicts on a grid 1, 2, ..., n."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(passing=[True, False, True], refine=True, refined_limit=None)
+    @example(passing=[False, True, True, False, True, True, False], refine=True,
+             refined_limit=("uu", 1))
+    @given(passing=st.lists(st.booleans(), min_size=1, max_size=12),
+           refine=st.booleans(),
+           refined_limit=st.none() | st.just(("uu", 1)))
+    def test_longest_run_and_its_boundaries(self, passing, refine, refined_limit):
+        def fake_point(template, gradient, noise, thresholds):
+            i = int(gradient) - 1
+            failing = () if passing[i] else (i % 2,)
+            verdict = GateVerdict(initial_state=f"state{i}", expected="", p_up=(),
+                                  passed=passing[i], failing_qubits=failing)
+            return PointResult(gradient=float(gradient), t_flip=1.0, verdicts=(verdict,))
+
+        refined = []
+
+        def fake_refine(template, noise, thresholds, inside, outside):
+            refined.append((inside, outside))
+            return 0.5 * (inside + outside), refined_limit
+
+        gradients = np.arange(1.0, len(passing) + 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "evaluate_point", fake_point)
+            mp.setattr(analysis, "refine_boundary", fake_refine)
+            result = run_sweep(None, gradients, None, None, refine=refine)
+
+        best = longest_run_by_enumeration(passing)
+        assert result.range_indices == best
+        assert result.empty == (best is None) == (not any(passing))
+        if best is None:
+            assert result.low is None and result.high is None and refined == []
+            return
+        want_refined = []
+        for end, inside, outside in ((result.low, best[0], best[0] - 1),
+                                     (result.high, best[1], best[1] + 1)):
+            assert end.open == (not 0 <= outside < len(passing))
+            assert passing[inside] and (end.open or not passing[outside])
+            if end.open:
+                assert end == analysis.Boundary(gradients[inside], open=True)
+                continue
+            neighbour = (f"state{outside}", outside % 2)
+            if refine:
+                want_refined.append((gradients[inside], gradients[outside]))
+                assert end.gradient == 0.5 * (gradients[inside] + gradients[outside])
+                assert end.limit == (refined_limit or neighbour)
+            else:
+                assert end.gradient == gradients[inside]
+                assert end.limit == neighbour
+        assert refined == want_refined
+

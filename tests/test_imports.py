@@ -1,5 +1,6 @@
-"""Every name imported in the package and its tests is used, and no CLI
-mode or calibration run loads scipy.
+"""Every name imported in the package and its tests is used, every
+top-level definition of the package is referenced, and no CLI mode or
+calibration run loads scipy.
 
 No linter ships with the test dependencies, so this scans the syntax
 trees directly.  `from __future__` imports and the re-exports of the
@@ -34,6 +35,43 @@ def test_no_unused_imports():
              if p.name != "__init__.py"]
     assert len(paths) > 10
     assert [hit for p in paths for hit in unused_imports(p)] == []
+
+
+def references(tree: ast.AST) -> list:
+    """(name, line) of every name, attribute and string constant in `tree`.
+
+    String constants count because the benchmark tracer and the tests'
+    monkeypatching name functions by string.
+    """
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            hits.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            hits.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hits.append((node.value, node.lineno))
+    return hits
+
+
+def test_no_unreferenced_definitions():
+    # a top-level function or class of the package that nothing in src/,
+    # tests/ or perfbench/ names outside its own body is dead code
+    modules = [p for p in sorted(ROOT.glob("src/qdgates/*.py")) if p.name != "__init__.py"]
+    users = modules + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    refs = {path: references(ast.parse(path.read_text(), filename=str(path)))
+            for path in users}
+    dead = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (user == path and line in own)
+                       for user, hits in refs.items() for name, line in hits):
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert len(modules) > 5
+    assert dead == []
 
 
 SWEEP_CFG = """\
