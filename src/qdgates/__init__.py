@@ -57,7 +57,7 @@ from .analysis import (
     evaluate_point,
     expected_final,
     flip_time,
-    population_up,
+    populations_up,
     run_sweep,
 )
 from .config import ConfigError, RunSpec, parse_config, render_config

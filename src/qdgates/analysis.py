@@ -11,8 +11,8 @@ safeguarded Newton iteration on the closed-form dP_up/dt pins it to
 roundoff.  It is reused for every noisy initial state, so that
 decoherence is never conflated with timing drift.  One
 `propagate(h, collapse, rho0s, t_flip)` call, a single exact
-expm(L t_flip) step, gives all noisy states at the flip time;
-`population_up` raises rather than clips.
+expm(L t_flip) step, gives all noisy states at the flip time, and one
+`populations_up` call their P_up table; it raises rather than clips.
 `run_sweep` is the one entry point for a gradient grid: it evaluates every
 point, marks the longest passing run as the operating range and describes
 each end by one `Boundary` (gradient, open flag, limiting state and qubit);
@@ -31,7 +31,7 @@ from . import device
 from .device import DeviceConfig, CNOT
 from .noise import NoiseConfig, build_collapse_set
 from .lindblad import SolverError, propagate
-from .operators import basis_density, index_to_label, partial_trace
+from .operators import basis_density, index_to_label, n_qubits_of, up_mask
 
 FLIP_WINDOW_FACTOR = 4.0
 FLIP_SAMPLES = 2000        # evenly spaced times of the flip-time scan
@@ -62,16 +62,17 @@ class GateVerdict:
     failing_qubits: tuple        # qubit indices, empty when passed
 
 
-def population_up(rho: np.ndarray, qubit: int) -> float:
-    """Probability that `qubit`'s reduced state is spin-up.
+def populations_up(states: np.ndarray) -> np.ndarray:
+    """Spin-up probability of every qubit: (..., d, d) states -> (..., n_qubits).
 
-    Raises ValueError when the value lies more than 1e-9 outside [0, 1];
-    a value within that tolerance is clamped into the interval.
+    Each state's diagonal times `up_mask`.  Raises ValueError beyond 1e-9
+    outside [0, 1], NaN included, and clamps within that tolerance.
     """
-    value = partial_trace(rho, qubit)[0, 0].real
-    if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise ValueError(f"population {value} outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
+    pops = np.einsum("...ii->...i", states).real @ up_mask(n_qubits_of(states.shape[-1]))
+    bad = ~((pops >= -1e-9) & (pops <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValueError(f"population {pops[bad][0]} outside [0, 1] beyond tolerance")
+    return np.clip(pops, 0.0, 1.0)
 
 
 def expected_final(gate: str, initial: str) -> str:
@@ -89,15 +90,14 @@ def expected_final(gate: str, initial: str) -> str:
 
 def _failing_qubits(p_up, expected: str, thresholds: Thresholds) -> tuple:
     """Indices of the qubits whose P_up misses its truth-table threshold."""
-    return tuple(q for q, (p, want) in enumerate(zip(p_up, expected))
+    return tuple(q for q, (p, want) in enumerate(zip(p_up, expected, strict=True))
                  if not (p > thresholds.t_up if want == "u" else p < thresholds.t_down))
 
 
-def classify(rho: np.ndarray, gate: str, initial: str,
-             thresholds: Thresholds) -> GateVerdict:
-    """Verdict from per-qubit P_up of the state `rho` at the flip time."""
+def classify(p_up, gate: str, initial: str, thresholds: Thresholds) -> GateVerdict:
+    """Verdict from one state's per-qubit P_up at the flip time (a `populations_up` row)."""
     expected = expected_final(gate, initial)
-    p_up = tuple(population_up(rho, q) for q in range(len(initial)))
+    p_up = tuple(map(float, p_up))
     failing = _failing_qubits(p_up, expected, thresholds)
     return GateVerdict(initial_state=initial, expected=expected, p_up=p_up,
                        passed=not failing, failing_qubits=failing)
@@ -145,7 +145,7 @@ def _up_amplitudes(cfg: DeviceConfig, h_rwa: np.ndarray) -> tuple:
     the rows r are the basis states whose target spin is up.
     """
     energies, vectors = np.linalg.eigh(h_rwa)
-    up = [index_to_label(i, cfg.n_qubits)[cfg.target_qubit] == "u" for i in range(cfg.dim)]
+    up = up_mask(cfg.n_qubits)[:, cfg.target_qubit]
     return energies, (vectors * vectors[0].conj())[up]
 
 
@@ -282,24 +282,18 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
                    thresholds: Thresholds) -> PointResult:
     """Propagate every initial basis state to the flip time and classify.
 
-    Model-building, flip-time and propagation failures are re-raised with
-    the failing gradient attached.
+    Model, flip-time, propagation and population failures name the gradient.
     """
     try:
         cfg, h, collapse = point_model(template.config(gradient), noise)
-    except ValueError as exc:
-        raise ValueError(f"gradient {gradient} T: {exc}") from exc
-    try:
         t_flip = flip_time(cfg, h_rwa=h)
-    except FlipTimeError as exc:
-        raise FlipTimeError(f"gradient {gradient} T, flip-time search: {exc}") from exc
-    labels = [index_to_label(idx, cfg.n_qubits) for idx in range(cfg.dim)]
-    try:
+        labels = [index_to_label(idx, cfg.n_qubits) for idx in range(cfg.dim)]
         finals = propagate(h, collapse, [basis_density(s) for s in labels], t_flip)[:, -1]
-    except SolverError as exc:
-        raise SolverError(f"gradient {gradient} T: {exc}") from exc
-    verdicts = tuple(classify(rho, cfg.gate, initial, thresholds)
-                     for rho, initial in zip(finals, labels))
+        p_up = populations_up(finals)
+    except (ValueError, FlipTimeError, SolverError) as exc:
+        raise type(exc)(f"gradient {gradient} T: {exc}") from exc
+    verdicts = tuple(classify(row, cfg.gate, initial, thresholds)
+                     for row, initial in zip(p_up, labels))
     return PointResult(gradient=float(gradient), t_flip=t_flip, verdicts=verdicts)
 
 

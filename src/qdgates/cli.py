@@ -90,18 +90,14 @@ def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
     times = np.linspace(0.0, t_end, spec.samples)
     states = propagate(h, collapse, [basis_density(spec.initial_state)], t_end,
                        spec.samples)[0]
-    pops = [[analysis.population_up(rho, q) for rho in states]
-            for q in range(cfg.n_qubits)]
+    pops = analysis.populations_up(states)
     trace_err = np.einsum("nii->n", states).real - 1.0
     path = out_dir / "trajectory.csv"
     with path.open("w", encoding="utf-8") as fh:
         cols = ["time_ns"] + [f"P_up_q{q}" for q in range(cfg.n_qubits)] + ["trace_error"]
         fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(times):
-            row = [_fmt(device.time_to_ns(t))]
-            row += [_fmt(p[i]) for p in pops]
-            row.append(_fmt(trace_err[i]))
-            fh.write(",".join(row) + "\n")
+        for t, p_up, err in zip(times, pops, trace_err):
+            fh.write(",".join(map(_fmt, [device.time_to_ns(t), *p_up, err])) + "\n")
     return [path]
 
 

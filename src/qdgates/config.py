@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .analysis import Thresholds
 from .device import AUTO, CNOT, GATES, G_DEFAULT
+from .lindblad import DEFAULT_SAMPLES
 from .noise import PHONON_E_MODES, T2_STAR_NS_DEFAULT, NoiseConfig
 
 MODES = ("simulate", "sweep", "ranges")
@@ -76,7 +77,7 @@ class RunSpec:
     # simulate
     initial_state: str = None
     t_end_ns: object = AUTO            # "auto" or ns
-    samples: int = 2000
+    samples: int = DEFAULT_SAMPLES
     # run control
     workers: int = 1                   # accepted and ignored: points run in-process
     output_dir: str = "out"

@@ -70,6 +70,15 @@ def index_to_label(index: int, n_qubits: int) -> str:
                    for q in range(n_qubits))
 
 
+@cache
+def up_mask(n_qubits: int) -> np.ndarray:
+    """Read-only (2**n, n) boolean mask: [k, q] is True when qubit q is up in state k."""
+    mask = np.array([[ch == "u" for ch in index_to_label(k, n_qubits)]
+                     for k in range(1 << n_qubits)])
+    mask.setflags(write=False)
+    return mask
+
+
 def label_to_index(label: str) -> int:
     index = 0
     for ch in label:

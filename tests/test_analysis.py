@@ -17,14 +17,14 @@ from qdgates.analysis import (
     evaluate_point,
     expected_final,
     flip_time,
-    population_up,
+    populations_up,
     reclassify,
     run_sweep,
     _first_minimum_below_half,
     _p_up_slopes,
     _up_amplitudes,
 )
-from qdgates.calibration import LOW_ROW
+from qdgates.calibration import HIGH_ROW, LOW_ROW
 from qdgates.device import (
     G_GAAS,
     build_hamiltonian_rwa,
@@ -34,30 +34,48 @@ from qdgates.device import (
 )
 from qdgates.lindblad import propagate
 from qdgates.noise import NoiseConfig
-from qdgates.operators import basis_density, basis_ket
+from qdgates.operators import basis_density, basis_ket, partial_trace
 
-from conftest import partial_trace_by_summation
+from conftest import partial_trace_by_summation, random_density
 
 
 class TestPopulationUp:
     def test_basis_state(self):
         rho = basis_density("ud")
-        assert population_up(rho, 0) == pytest.approx(1.0)
-        assert population_up(rho, 1) == pytest.approx(0.0)
+        assert populations_up(rho)[0] == pytest.approx(1.0)
+        assert populations_up(rho)[1] == pytest.approx(0.0)
 
     def test_bell_state(self):
         ket = (basis_ket("uu") + basis_ket("dd")) / math.sqrt(2.0)
         rho = np.outer(ket, ket.conj())
-        assert population_up(rho, 0) == pytest.approx(0.5)
-        assert population_up(rho, 1) == pytest.approx(0.5)
+        assert populations_up(rho)[0] == pytest.approx(0.5)
+        assert populations_up(rho)[1] == pytest.approx(0.5)
 
     def test_ghz_state_matches_summation_oracle(self):
         ket = (basis_ket("uuu") + basis_ket("ddd")) / math.sqrt(2.0)
         rho = np.outer(ket, ket.conj())
         for q in range(3):
             oracle = partial_trace_by_summation(rho, q, 3)[0, 0].real
-            assert population_up(rho, q) == pytest.approx(oracle)
-            assert population_up(rho, q) == pytest.approx(0.5)
+            assert populations_up(rho)[q] == pytest.approx(oracle)
+            assert populations_up(rho)[q] == pytest.approx(0.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_partial_trace_and_batches(self, n_qubits, seed):
+        rng = np.random.default_rng(seed)
+        states = np.stack([random_density(rng, 2 ** n_qubits) for _ in range(4)])
+        batch = populations_up(states)
+        assert batch.shape == (4, n_qubits)
+        for rho, row in zip(states, batch):
+            np.testing.assert_array_equal(populations_up(rho), row)
+            reference = [partial_trace(rho, q)[0, 0].real for q in range(n_qubits)]
+            np.testing.assert_allclose(row, reference, rtol=0.0, atol=1e-15)
+
+    def test_nan_state_raises(self):
+        rho = basis_density("ud")
+        rho[3, 3] = np.nan
+        with pytest.raises(ValueError, match="population nan"):
+            populations_up(rho)
 
 
 class TestExpectedFinal:
@@ -224,12 +242,12 @@ def product_state(p_up_per_qubit):
 
 class TestClassify:
     def test_dead_zone_fails(self):
-        verdict = classify(product_state([1.0, 0.5]), "cnot", "uu", Thresholds())
+        verdict = classify([1.0, 0.5], "cnot", "uu", Thresholds())
         assert not verdict.passed
         assert verdict.failing_qubits == (1,)
 
     def test_truth_table_pass(self):
-        verdict = classify(product_state([0.95, 0.03]), "cnot", "uu", Thresholds())
+        verdict = classify([0.95, 0.03], "cnot", "uu", Thresholds())
         assert verdict.passed
         assert verdict.expected == "ud"
 
@@ -238,7 +256,7 @@ class TestClassify:
         rho = product_state([1.0, 0.0])
         rho[0, 0] += 1e-6
         with pytest.raises(ValueError):
-            classify(rho, "cnot", "uu", Thresholds())
+            populations_up(rho)
 
     def test_noise_free_cnot_from_uu_and_dd(self):
         cfg = resolve_drive(cnot_config(0.5, 0.5, j=0.42, b_ac=0.004))
@@ -246,8 +264,8 @@ class TestClassify:
         h = build_hamiltonian_rwa(cfg)
         finals = propagate(h, None, [basis_density("uu"), basis_density("dd")],
                            t_flip)[:, -1]
-        for initial, rho in zip(("uu", "dd"), finals):
-            verdict = classify(rho, "cnot", initial, Thresholds())
+        for initial, p_up in zip(("uu", "dd"), populations_up(finals)):
+            verdict = classify(p_up, "cnot", initial, Thresholds())
             assert verdict.passed, verdict
 
     def test_threshold_monotonicity(self):
@@ -256,8 +274,7 @@ class TestClassify:
         for _ in range(50):
             p = rng.uniform(0.0, 1.0, size=2)
             initial = rng.choice(["uu", "ud", "du", "dd"])
-            strict = classify(product_state(list(p)), "cnot", initial,
-                              Thresholds(t_up=0.9, t_down=0.1))
+            strict = classify(p, "cnot", initial, Thresholds(t_up=0.9, t_down=0.1))
             relaxed = reclassify(strict, Thresholds(t_up=0.7, t_down=0.3))
             if strict.passed:
                 assert relaxed.passed
@@ -294,17 +311,22 @@ class TestSweep:
 
     def test_range_nesting_in_noise_scale(self):
         # enlarging the rate constants never enlarges the operating range
-        template = SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004,
-                                 exchange=(0.42,))
-        gradients = np.linspace(1.2, 2.8, 6)
-        passing_sets = []
-        for factor in (1.0, 10.0, 100.0):
-            result = run_sweep(template, gradients, NoiseConfig().scaled(factor),
-                               Thresholds())
-            passing_sets.append({i for i, p in enumerate(result.points)
-                                 if p.passed})
-        assert passing_sets[1] <= passing_sets[0]
-        assert passing_sets[2] <= passing_sets[1]
+        toffoli = SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=0.004,
+                                exchange=(0.42, 0.42))
+        for template, gradients, factors in (
+                (HIGH_ROW, np.linspace(1.2, 2.8, 6), (1.0, 10.0, 100.0)),
+                (LOW_ROW, np.geomspace(0.002, 0.05, 6), (0.01, 1.0, 100.0)),
+                (toffoli, np.linspace(0.15, 2.25, 8), (0.01, 1.0, 100.0))):
+            passing_sets = []
+            for factor in factors:
+                result = run_sweep(template, gradients, NoiseConfig().scaled(factor),
+                                   Thresholds())
+                passing_sets.append({i for i, p in enumerate(result.points)
+                                     if p.passed})
+            assert passing_sets[1] <= passing_sets[0], template
+            assert passing_sets[2] <= passing_sets[1], template
+            # non-trivial: the loudest noise fails points the quietest passes
+            assert passing_sets[2] < passing_sets[0], template
 
     def test_empty_grid_rejected(self):
         template = SweepTemplate(gate="cnot", fixed_field=0.5, b_ac=0.004,
@@ -331,6 +353,13 @@ class TestSweep:
                                  exchange=(0.0,))
         with pytest.raises(ValueError, match=r"gradient 0\.5 T: .*nondegenerate"):
             evaluate_point(template, 0.5, NoiseConfig(), Thresholds())
+
+    def test_population_failure_names_the_gradient(self):
+        # at 1e10 times the calibrated rates the propagated states drift
+        # past the population tolerance; the error says where
+        with pytest.raises(ValueError, match=r"gradient 0\.83.* T: .*population"):
+            evaluate_point(HIGH_ROW, 0.8346242608806184, NoiseConfig().scaled(1e10),
+                           Thresholds())
 
     def test_operating_range_refines_boundary_to_three_figures(self):
         template = SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004,

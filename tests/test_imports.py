@@ -1,6 +1,6 @@
 """Every name imported in the package and its tests is used, every
 top-level definition of the package is referenced, and no CLI mode or
-calibration run loads scipy.
+calibration run loads scipy or takes a per-qubit partial trace.
 
 No linter ships with the test dependencies, so this scans the syntax
 trees directly.  `from __future__` imports and the re-exports of the
@@ -111,6 +111,11 @@ simulate.samples = 5
 
 RUN_PATH = """\
 import contextlib, io, sys
+import qdgates.operators
+def off_run_path(*args, **kwargs):
+    raise AssertionError("partial_trace called on the run path")
+# swapping the code, not the name, also reaches copies bound by `from` imports
+qdgates.operators.partial_trace.__code__ = off_run_path.__code__
 from qdgates.calibration import calibrate_upsilon
 from qdgates.cli import main
 from qdgates.noise import NoiseConfig
@@ -126,7 +131,8 @@ def test_cli_runs_and_calibration_leave_scipy_unloaded(tmp_path):
     # `propagate` exponentiates in numpy; only `expm_oracle` and the
     # lab-frame `evolve` load scipy, and no CLI mode or calibration calls
     # them.  Running the modes, not just importing them, also catches an
-    # import made lazily on the run path.
+    # import made lazily on the run path.  `partial_trace` is the tests'
+    # reference for `populations_up` and is stubbed to raise if called.
     args = []
     for mode, cfg in (("simulate", SIMULATE_CFG), ("sweep", SWEEP_CFG),
                       ("ranges", RANGES_CFG)):
