@@ -16,9 +16,10 @@ expm(L t_flip) step, gives all noisy states at the flip time, and one
 `run_sweep` is the one entry point for a gradient grid: it evaluates every
 point, marks the longest passing run as the operating range and describes
 each end by one `Boundary` (gradient, open flag, limiting state and qubit);
-with `refine=True`, as in `ranges` mode, it bisects both closed ends through
-the same code.  Every pass/fail boundary, here and in the calibration fits,
-is located by the one bisection `bisect_boundary`.
+with `refine=True`, as in `ranges` mode, it refines both closed ends through
+the same code.  Each verdict has a margin, positive exactly when it passes;
+every pass/fail boundary, here and in the calibration fits, is a root of
+it found by the one ITP root finder `find_boundary`.
 """
 from __future__ import annotations
 
@@ -60,6 +61,7 @@ class GateVerdict:
     p_up: tuple                  # per-qubit P_up at the flip time
     passed: bool
     failing_qubits: tuple        # qubit indices, empty when passed
+    margin: float                # least per-qubit margin, > 0 exactly when passed
 
 
 def populations_up(states: np.ndarray) -> np.ndarray:
@@ -88,25 +90,29 @@ def expected_final(gate: str, initial: str) -> str:
     return "".join(bits)
 
 
-def _failing_qubits(p_up, expected: str, thresholds: Thresholds) -> tuple:
-    """Indices of the qubits whose P_up misses its truth-table threshold."""
-    return tuple(q for q, (p, want) in enumerate(zip(p_up, expected, strict=True))
-                 if not (p > thresholds.t_up if want == "u" else p < thresholds.t_down))
+def _thresholded(p_up, expected: str, thresholds: Thresholds) -> dict:
+    """`passed`, `failing_qubits` and least `margin` of one state's P_up row.
+
+    A qubit's margin is P_up - t_up if it should be up, else t_down - P_up:
+    exact at zero, so positive exactly when the strict threshold test passes.
+    """
+    margins = [p - thresholds.t_up if want == "u" else thresholds.t_down - p
+               for p, want in zip(p_up, expected, strict=True)]
+    failing = tuple(q for q, m in enumerate(margins) if not m > 0.0)
+    return dict(passed=not failing, failing_qubits=failing, margin=min(margins))
 
 
 def classify(p_up, gate: str, initial: str, thresholds: Thresholds) -> GateVerdict:
     """Verdict from one state's per-qubit P_up at the flip time (a `populations_up` row)."""
     expected = expected_final(gate, initial)
     p_up = tuple(map(float, p_up))
-    failing = _failing_qubits(p_up, expected, thresholds)
     return GateVerdict(initial_state=initial, expected=expected, p_up=p_up,
-                       passed=not failing, failing_qubits=failing)
+                       **_thresholded(p_up, expected, thresholds))
 
 
 def reclassify(verdict: GateVerdict, thresholds: Thresholds) -> GateVerdict:
     """Re-threshold a stored verdict without re-running the dynamics."""
-    failing = _failing_qubits(verdict.p_up, verdict.expected, thresholds)
-    return replace(verdict, passed=not failing, failing_qubits=failing)
+    return replace(verdict, **_thresholded(verdict.p_up, verdict.expected, thresholds))
 
 
 def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
@@ -224,6 +230,11 @@ class PointResult:
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
+    @property
+    def margin(self) -> float:
+        """Least verdict margin: positive exactly when the point passes."""
+        return min(v.margin for v in self.verdicts)
+
     def first_failure(self):
         """(initial_state, qubit index) of the first failing verdict, or None."""
         for v in self.verdicts:
@@ -236,7 +247,7 @@ class PointResult:
 class Boundary:
     """One end of an operating range.
 
-    `gradient` (tesla) is the bisection-refined boundary of a closed end
+    `gradient` (tesla) is the root-found boundary of a closed end
     when refinement ran, and the last passing grid point otherwise.
     `limit` is the (initial_state, qubit index) that fails just outside a
     closed end, None for an open one.
@@ -307,9 +318,10 @@ def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
     """Evaluate every gradient point, in order, and extract the operating range.
 
     The range is the longest contiguous passing run, the earliest one on a
-    tie.  With `refine` each closed end is bisected by `refine_boundary`,
-    low end first; its limiting state is the refinement's when it found a
-    failing point, and the grid neighbour's first failure otherwise.
+    tie.  With `refine` each closed end is refined by `refine_boundary`
+    from its grid points' margins, low end first; its limiting state is the
+    refinement's when it found a failing point, and the grid neighbour's
+    first failure otherwise.
     """
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
@@ -335,7 +347,9 @@ def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
             return Boundary(float(gradient), open=True)
         if refine:
             gradient, limit = refine_boundary(template, noise, thresholds,
-                                              gradient, gradients[outside])
+                                              gradient, gradients[outside],
+                                              points[inside].margin,
+                                              points[outside].margin)
         if limit is None:
             limit = points[outside].first_failure()
         return Boundary(float(gradient), open=False, limit=limit)
@@ -345,38 +359,59 @@ def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
                        low=boundary(lo, lo - 1), high=boundary(hi, hi + 1))
 
 
-def bisect_boundary(passes, passing: float, failing: float, width: float) -> float:
-    """Halve a pass/fail bracket until it is at most `width` wide.
+def find_boundary(margin, passing: float, failing: float, width: float,
+                  m_passing: float, m_failing: float) -> float:
+    """Root of a verdict margin: shrink its pass/fail bracket to at most `width`.
 
-    `passes(x)` decides each midpoint; `passing` and `failing` are the ends
-    known to pass and to fail, in either order.  Returns the midpoint of
-    the final bracket.
+    ITP (Oliveira & Takahashi, ACM TOMS 47, 5 (2021)), n0 = 0, kappa2 = 2,
+    kappa1 = 0.2 / |failing - passing|: each step evaluates the regula-falsi
+    point, truncated toward the midpoint and projected into the radius that
+    keeps bisection's step count.  `margin(x)` > 0 where x passes, with
+    `m_passing` > 0 >= `m_failing` at the ends, in either order; margins of
+    +-1 give bisection bit for bit.  Returns the final bracket's midpoint.
     """
-    while abs(failing - passing) > width:
+    # bisection's step count, a last halving within round-off of `width`
+    # counting as closing; the final bracket `reach` keeps the same reserve
+    # below `width`, and is 0 (every step a halving) when no slack is left
+    reserve = 16.0 * math.ulp(max(abs(passing), abs(failing)))
+    steps, top = 0, abs(failing - passing)
+    while top > width + reserve:
+        steps, top = steps + 1, 0.5 * top
+    reach = width - reserve if top <= width - reserve else 0.0
+    kappa1 = 0.2 / abs(failing - passing)
+    while (span := abs(failing - passing)) > width:
+        steps -= 1
         mid = 0.5 * (passing + failing)
-        if passes(mid):
-            passing = mid
+        falsi = (m_passing * failing - m_failing * passing) / (m_passing - m_failing)
+        sigma = math.copysign(1.0, mid - falsi) if mid != falsi else 0.0
+        delta = kappa1 * span ** 2
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        radius = max(0.0, math.ldexp(reach, steps) - 0.5 * span)
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if (m := margin(x)) > 0.0:
+            passing, m_passing = x, m
         else:
-            failing = mid
+            failing, m_failing = x, m
     return 0.5 * (passing + failing)
 
 
 def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
-                    thresholds: Thresholds, passing: float, failing: float):
-    """Bisect a pass/fail boundary to REFINE_SIG_FIGS significant figures.
-
-    Returns (boundary_gradient, (initial_state, qubit)) where the limiting
-    info comes from the failing evaluation closest to the boundary.
+                    thresholds: Thresholds, passing: float, failing: float,
+                    m_passing: float, m_failing: float):
+    """Root-find a pass/fail boundary, with end margins known, to REFINE_SIG_FIGS
+    significant figures.  Returns (boundary_gradient, (initial_state, qubit)):
+    the first failure at the final failing end, None if that is `failing`.
     """
     limit = None
 
-    def passes(gradient):
+    def margin(gradient):
         nonlocal limit
         point = evaluate_point(template, gradient, noise, thresholds)
         if not point.passed:
             limit = point.first_failure()
-        return point.passed
+        return point.margin
 
     scale = 10.0 ** (math.floor(math.log10(max(abs(passing), abs(failing))))
                      - REFINE_SIG_FIGS + 1)
-    return bisect_boundary(passes, passing, failing, 0.5 * scale), limit
+    return find_boundary(margin, passing, failing, 0.5 * scale, m_passing, m_failing), limit

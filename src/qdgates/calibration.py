@@ -11,17 +11,18 @@ then frozen as the package defaults:
   (B_target = 8 mT, B_ac = 0.04 mT, J = 4.2 neV), the lower end of the
   passing run sits at GRADIENT_LOW_TARGET.
 
-Each fit is a one-dimensional bisection on the log of the constant, using
-the monotone dependence of the boundary on the rate strength, through
-`analysis.bisect_boundary`, the bisection that also refines range
-boundaries.  The resulting pair is frozen in the noise module; this
-module exists so the fit can be reproduced.
+Each fit finds the root, in the log of the constant, of the verdict
+margin at the target gradient, using the monotone dependence of the
+boundary on the rate strength, through `analysis.find_boundary`, the ITP
+root finder that also refines range boundaries.  The resulting pair is
+frozen in the noise module; this module exists so the fit can be
+reproduced.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .analysis import SweepTemplate, Thresholds, bisect_boundary, evaluate_point
+from .analysis import SweepTemplate, Thresholds, evaluate_point, find_boundary
 from .device import CNOT
 from .noise import NoiseConfig
 
@@ -41,17 +42,19 @@ GRADIENT_LOW_TARGET = 0.0075  # tesla, lower bound of the low-field row
 
 def _fit_log10(row: SweepTemplate, gradient: float, base: NoiseConfig, field: str,
                log10_lo: float, log10_hi: float, tol: float) -> float:
-    """Bisect log10 of the noise constant `field` where `row` stops passing at
-    `gradient`; the bracket must pass at log10_lo and fail at log10_hi."""
-    def passes(log10_value):
+    """Root-find log10 of the noise constant `field` where `row` stops passing
+    at `gradient`; the bracket must pass at log10_lo and fail at log10_hi."""
+    def margin(log10_value):
         noise = replace(base, **{field: 10.0 ** log10_value})
-        return evaluate_point(row, gradient, noise, Thresholds()).passed
+        return evaluate_point(row, gradient, noise, Thresholds()).margin
 
-    if not passes(log10_lo):
+    m_lo = margin(log10_lo)
+    if not m_lo > 0.0:
         raise ValueError("log10_lo already fails at the target gradient")
-    if passes(log10_hi):
+    m_hi = margin(log10_hi)
+    if m_hi > 0.0:
         raise ValueError("log10_hi still passes at the target gradient")
-    return 10.0 ** bisect_boundary(passes, log10_lo, log10_hi, tol)
+    return 10.0 ** find_boundary(margin, log10_lo, log10_hi, tol, m_lo, m_hi)
 
 
 def calibrate_phonon_p(base: NoiseConfig, *, log10_lo: float = -18.0,
@@ -71,7 +74,7 @@ def calibrate_upsilon(base: NoiseConfig, *, log10_lo: float = 3.0,
     """Fit upsilon so the low-field lower boundary lands on target.
 
     At the target gradient the configuration passes for weak hyperfine
-    noise and fails for strong, so the fit bisects the flip point.
+    noise and fails for strong, so the fit root-finds the flip point.
     """
     return _fit_log10(LOW_ROW, GRADIENT_LOW_TARGET, base, "upsilon",
                       log10_lo, log10_hi, tol)

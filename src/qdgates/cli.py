@@ -9,8 +9,8 @@ emitting CSV plus a JSON run manifest:
 * sweep: P_up of every qubit at the flip time for every initial state
   across the gradient grid, one file per fixed-field row; columns
   gradient_T, initial_state, qubit_role, P_up, verdict.
-* ranges: operating-range table with bisection-refined boundaries, one row
-  per fixed field.
+* ranges: operating-range table, one row per fixed field, with each closed
+  boundary refined by the ITP root finder on the verdict margin.
 
 Every point is evaluated in this process, one after another.  Output is
 deterministic: floats are formatted explicitly and results are gathered

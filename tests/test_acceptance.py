@@ -12,8 +12,8 @@ from qdgates import analysis
 from qdgates.analysis import (
     SweepTemplate,
     Thresholds,
-    bisect_boundary,
     evaluate_point,
+    find_boundary,
     flip_time,
     reclassify,
     run_sweep,
@@ -170,10 +170,10 @@ def test_criterion_06_frame_equivalence():
           "agree within 2e-2 over one flip time")
 
 
-def passes_at(template, noise, thresholds):
-    """Pass/fail predicate over the gradient for `bisect_boundary`."""
+def margin_at(template, noise, thresholds):
+    """Verdict margin over the gradient for `find_boundary`."""
     return lambda gradient: evaluate_point(template, gradient, noise,
-                                           thresholds).passed
+                                           thresholds).margin
 
 
 def test_criterion_07_calibrated_trend():
@@ -183,9 +183,10 @@ def test_criterion_07_calibrated_trend():
     for b_target in (1.0, 0.75, 0.5):
         template = SweepTemplate(gate="cnot", fixed_field=b_target, b_ac=0.004,
                                  exchange=(0.42,))
-        passes = passes_at(template, noise, thresholds)
-        assert passes(1.2) and not passes(3.6)
-        gradient = bisect_boundary(passes, 1.2, 3.6, 2e-3)
+        margin = margin_at(template, noise, thresholds)
+        m_in, m_out = margin(1.2), margin(3.6)
+        assert m_in > 0 and not m_out > 0
+        gradient = find_boundary(margin, 1.2, 3.6, 2e-3, m_in, m_out)
         uppers[b_target] = b_target + gradient
         just_failing = evaluate_point(template, gradient + 0.02, noise,
                                       thresholds)
@@ -200,18 +201,20 @@ def test_criterion_07_calibrated_trend():
     # is the last initial state to recover as the gradient grows
     def verdicts_at(gradient):
         point = evaluate_point(LOW_ROW, gradient, noise, thresholds)
-        return {v.initial_state: v.passed for v in point.verdicts}
+        return {v.initial_state: v for v in point.verdicts}
 
-    def du_passes(gradient):
-        return verdicts_at(gradient)["du"]
+    def du_margin(gradient):
+        return verdicts_at(gradient)["du"].margin
 
-    def rest_pass(gradient):
-        return all(ok for s, ok in verdicts_at(gradient).items() if s != "du")
+    def rest_margin(gradient):
+        return min(v.margin for s, v in verdicts_at(gradient).items() if s != "du")
 
-    for predicate in (du_passes, rest_pass):
-        assert not predicate(0.005) and predicate(0.012)
-    b_du = bisect_boundary(du_passes, 0.012, 0.005, 5e-5)
-    b_rest = bisect_boundary(rest_pass, 0.012, 0.005, 5e-5)
+    boundaries = []
+    for margin in (du_margin, rest_margin):
+        m_out, m_in = margin(0.005), margin(0.012)
+        assert not m_out > 0 and m_in > 0
+        boundaries.append(find_boundary(margin, 0.012, 0.005, 5e-5, m_in, m_out))
+    b_du, b_rest = boundaries
     assert b_du > b_rest, (b_du, b_rest)
     print(f"\n[criterion 7] PASS - upper control-field bounds "
           f"{uppers[1.0]:.3f} < {uppers[0.75]:.3f} < {uppers[0.5]:.3f} T "
@@ -238,9 +241,10 @@ def test_criterion_08_cnot_contains_toffoli():
     # the three-spin upper boundary is decided by a right-control crossing
     template = SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=0.004,
                              exchange=(0.42, 0.42))
-    passes = passes_at(template, noise, thresholds)
-    assert passes(1.05) and not passes(1.65)
-    boundary = bisect_boundary(passes, 1.05, 1.65, 5e-3)
+    margin = margin_at(template, noise, thresholds)
+    m_in, m_out = margin(1.05), margin(1.65)
+    assert m_in > 0 and not m_out > 0
+    boundary = find_boundary(margin, 1.05, 1.65, 5e-3, m_in, m_out)
     outside = evaluate_point(template, boundary + 0.01, noise, thresholds)
     state, qubit = outside.first_failure()
     assert qubit == 2, (state, qubit)  # right control

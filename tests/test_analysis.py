@@ -16,6 +16,7 @@ from qdgates.analysis import (
     classify,
     evaluate_point,
     expected_final,
+    find_boundary,
     flip_time,
     populations_up,
     reclassify,
@@ -279,6 +280,32 @@ class TestClassify:
             if strict.passed:
                 assert relaxed.passed
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), gate=st.sampled_from(["cnot", "toffoli"]),
+           t_up=st.floats(0.51, 0.99), t_down=st.floats(0.01, 0.49))
+    def test_margin_is_positive_exactly_when_the_strict_test_passes(self, data, gate,
+                                                                     t_up, t_down):
+        n = 2 if gate == "cnot" else 3
+        thresholds = Thresholds(t_up=t_up, t_down=t_down)
+        initial = "".join(data.draw(st.lists(st.sampled_from("ud"), min_size=n,
+                                             max_size=n)))
+        # cells exactly at a threshold must fail: the tests are strict
+        cell = st.floats(0.0, 1.0) | st.sampled_from([t_up, t_down, 0.0, 1.0])
+        row = data.draw(st.lists(cell, min_size=n, max_size=n))
+        verdict = classify(row, gate, initial, thresholds)
+        expected = expected_final(gate, initial)
+        margins = [p - t_up if want == "u" else t_down - p
+                   for p, want in zip(row, expected)]
+        strict = [p > t_up if want == "u" else p < t_down
+                  for p, want in zip(row, expected)]
+        assert verdict.margin == min(margins)
+        assert verdict.passed == (verdict.margin > 0) == all(strict)
+        assert verdict.failing_qubits == tuple(q for q, m in enumerate(margins) if m <= 0)
+        assert verdict.failing_qubits == tuple(q for q, ok in enumerate(strict) if not ok)
+        other = Thresholds(t_up=data.draw(st.floats(0.51, 0.99)),
+                           t_down=data.draw(st.floats(0.01, 0.49)))
+        assert reclassify(verdict, other) == classify(row, gate, initial, other)
+
 
 class TestThresholds:
     def test_ordering_enforced(self):
@@ -372,8 +399,8 @@ class TestSweep:
         assert result.low.open and not result.high.open
         assert result.high.gradient != gradients[hi]     # refined, not the grid point
         assert gradients[hi] <= result.high.gradient <= gradients[hi + 1]
-        # three significant figures: the bisection interval closes below
-        # half a unit in the third figure
+        # three significant figures: the final bracket closes below half a
+        # unit in the third figure
         assert result.high.gradient == pytest.approx(2.01, abs=0.03)
         assert result.high.limit == ("dd", 0)
 
@@ -410,12 +437,15 @@ class TestRangeExtraction:
             i = int(gradient) - 1
             failing = () if passing[i] else (i % 2,)
             verdict = GateVerdict(initial_state=f"state{i}", expected="", p_up=(),
-                                  passed=passing[i], failing_qubits=failing)
+                                  passed=passing[i], failing_qubits=failing,
+                                  margin=gradient if passing[i] else -gradient)
             return PointResult(gradient=float(gradient), t_flip=1.0, verdicts=(verdict,))
 
         refined = []
 
-        def fake_refine(template, noise, thresholds, inside, outside):
+        def fake_refine(template, noise, thresholds, inside, outside, m_inside, m_outside):
+            # the ends' margins come from the grid points, not new evaluations
+            assert (m_inside, m_outside) == (inside, -outside)
             refined.append((inside, outside))
             return 0.5 * (inside + outside), refined_limit
 
@@ -449,3 +479,97 @@ class TestRangeExtraction:
                 assert end.limit == neighbour
         assert refined == want_refined
 
+
+def bisect_by_halving(passes, passing, failing, width):
+    """Plain bisection: (final midpoint, evaluated points), the reference count."""
+    evaluated = []
+    while abs(failing - passing) > width:
+        mid = 0.5 * (passing + failing)
+        evaluated.append(mid)
+        if passes(mid):
+            passing = mid
+        else:
+            failing = mid
+    return 0.5 * (passing + failing), evaluated
+
+
+# (passing, failing, width): the calib_low_row bracket, the calibrate_upsilon
+# default bracket, and a cnot_ranges grid step at three significant figures
+NAMED_BRACKETS = [(4.19, 4.19 + 0.0175, 1e-2), (3.0, 7.0, 1e-3),
+                  (0.015, 0.005, 5e-5)]
+
+
+@st.composite
+def brackets(draw):
+    """(passing, failing, width) in either orientation.
+
+    `failing - passing` over `width` is 2**halvings / ratio, an exact power
+    of two when ratio is 1.
+    """
+    if draw(st.booleans()):
+        return draw(st.sampled_from(NAMED_BRACKETS))
+    passing = draw(st.floats(-20.0, 20.0))
+    span = draw(st.floats(1e-3, 10.0))
+    failing = passing - span if draw(st.booleans()) else passing + span
+    ratio = draw(st.just(1.0) | st.floats(0.5, 1.0))
+    width = abs(failing - passing) * ratio / 2.0 ** draw(st.integers(0, 16))
+    return passing, failing, width
+
+
+# odd, increasing shapes of the margin against the distance from the root
+MARGIN_SHAPES = {
+    "linear": lambda z: z,
+    "cubic": lambda z: z ** 3,
+    "saturating": lambda z: math.tanh(20.0 * z),
+    "step": lambda z: 0.3 if z > 0 else -7.0,
+    "unit step": lambda z: 1.0 if z > 0 else -1.0,
+}
+
+
+class TestFindBoundary:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bracket=brackets(), root=st.floats(1e-6, 1.0),
+           shape=st.sampled_from(sorted(MARGIN_SHAPES)))
+    def test_never_out_counts_bisection_and_keeps_the_bracket(self, bracket, root,
+                                                               shape):
+        passing, failing, width = bracket
+
+        def margin(x):
+            # positive on the passing side; the root sits `root` of the way
+            # from the passing end to the failing end
+            return MARGIN_SHAPES[shape](root - (x - passing) / (failing - passing))
+
+        evaluated = []
+
+        def recording(x):
+            evaluated.append((x, margin(x)))
+            return evaluated[-1][1]
+
+        m_passing, m_failing = margin(passing), margin(failing)
+        assert m_passing > 0 >= m_failing
+        found = find_boundary(recording, passing, failing, width, m_passing, m_failing)
+        halved, reference = bisect_by_halving(lambda x: margin(x) > 0, passing, failing,
+                                              width)
+        assert len(evaluated) <= len(reference)
+        if shape == "unit step":
+            assert [x for x, _ in evaluated] == reference
+            assert found == halved
+        ends = {True: passing, False: failing}
+        for x, m in evaluated:
+            assert min(ends.values()) <= x <= max(ends.values())
+            ends[m > 0] = x
+        assert abs(ends[False] - ends[True]) <= width
+        assert found == 0.5 * (ends[True] + ends[False])
+
+    def test_smooth_margin_beats_bisection(self):
+        # a linear margin on the calibrate_upsilon default bracket: regula
+        # falsi lands on the root, where bisection needs all 12 halvings
+        calls = []
+
+        def margin(x):
+            calls.append(x)
+            return 4.2 - x
+
+        found = find_boundary(margin, 3.0, 7.0, 1e-3, 1.2, -2.8)
+        assert abs(found - 4.2) <= 5e-4
+        assert len(calls) < 12

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qdgates import calibration
 from qdgates.calibration import calibrate_phonon_p, calibrate_upsilon, run_calibration
 from qdgates.noise import PHONON_P_DEFAULT, UPSILON_DEFAULT, NoiseConfig
 
@@ -22,3 +23,22 @@ def test_run_calibration_reproduces_frozen_defaults():
 def test_bracket_that_misses_the_boundary_is_rejected(fit, log10_lo, log10_hi, message):
     with pytest.raises(ValueError, match=message):
         fit(NoiseConfig(), log10_lo=log10_lo, log10_hi=log10_hi)
+
+
+@pytest.mark.parametrize("fit, evaluations", [
+    (calibrate_phonon_p, 2 + 6),
+    (calibrate_upsilon, 2 + 12),
+], ids=["phonon_p", "upsilon"])
+def test_fit_evaluation_count(monkeypatch, fit, evaluations):
+    # two bracket checks, then the root finder; bisection needs 12 halvings
+    # of either default bracket, and the finder may never need more
+    evaluate_point = calibration.evaluate_point
+    calls = []
+
+    def counting(row, gradient, noise, thresholds):
+        calls.append(noise)
+        return evaluate_point(row, gradient, noise, thresholds)
+
+    monkeypatch.setattr(calibration, "evaluate_point", counting)
+    fit(NoiseConfig())
+    assert len(calls) == evaluations

@@ -87,8 +87,8 @@ sweep.refine = false
 """
 
 # The CNOT line B_target = 1 T has a closed lower boundary near 0.0136 T:
-# the first grid point fails, the rest pass, and refinement bisects the
-# first step in 8 points.
+# the first grid point fails, the rest pass, and the root finder closes the
+# first step in 6 points (bisection needs 8).
 RANGES_REFINE_CFG = """\
 mode = ranges
 device.gate = cnot
@@ -287,7 +287,7 @@ class TestRangesMode:
 class TestWorkerCount:
     @pytest.mark.parametrize("cfg_text, mode, csv_name, refine_points", [
         (SWEEP_CFG, "sweep", "sweep_row0.csv", 0),
-        (RANGES_REFINE_CFG, "ranges", "ranges.csv", 8),
+        (RANGES_REFINE_CFG, "ranges", "ranges.csv", 6),
     ], ids=["sweep", "ranges"])
     def test_every_point_runs_in_this_process(self, tmp_path, monkeypatch, cfg_text,
                                               mode, csv_name, refine_points):
