@@ -6,13 +6,14 @@ P_up above t_up and every qubit expected down has P_up below t_down at the
 flip time.  P_up inside the dead zone [t_down, t_up] is a failure.  The
 flip time is found once per configuration from the noise-free
 rotating-frame evolution, in closed form from the eigenvectors of H_rwa:
-a sampled scan brackets the first minimum of the target's P_up, and a
-safeguarded Newton iteration on the closed-form dP_up/dt pins it to
-roundoff.  It is reused for every noisy initial state, so that
-decoherence is never conflated with timing drift.  One
-`propagate(h, collapse, rho0s, t_flip)` call, a single exact
-expm(L t_flip) step, gives all noisy states at the flip time, and one
-`populations_up` call their P_up table; it raises rather than clips.
+a sampled scan, block by block up to the first block that holds it,
+brackets the first minimum of the target's P_up, and a safeguarded
+Newton iteration on the closed-form dP_up/dt pins it to roundoff.  It is
+reused for every noisy initial state, so that decoherence is never
+conflated with timing drift.  One `propagate(h, collapse, rho0s, t_flip)`
+call, a single exact expm(L t_flip) step, gives all noisy states at the
+flip time, and one `populations_up` call their P_up table; it raises
+rather than clips.
 `run_sweep` is the one entry point for a gradient grid: it evaluates every
 point, marks the longest passing run as the operating range and describes
 each end by one `Boundary` (gradient, open flag, limiting state and qubit);
@@ -36,6 +37,7 @@ from .operators import basis_density, index_to_label, n_qubits_of, up_mask
 
 FLIP_WINDOW_FACTOR = 4.0
 FLIP_SAMPLES = 2000        # evenly spaced times of the flip-time scan
+FLIP_BLOCK = 256           # samples evaluated at a time by the scan
 REFINE_SIG_FIGS = 3        # significant figures of a refined boundary
 
 
@@ -120,9 +122,9 @@ def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
 
     Follows the target's P_up from the all-controls-up state, in closed
     form from the eigenvectors of H_rwa, on FLIP_SAMPLES evenly spaced
-    times.  The two samples around the first interior local minimum below
-    one half bracket the flip, and `_stationary_point` finds the zero of
-    dP_up/dt between them.  Raises FlipTimeError if no such minimum occurs
+    times scanned by `_scan_first_minimum`.  The two samples around the
+    first interior local minimum below one half bracket the flip, and
+    `_stationary_point` finds the zero of dP_up/dt between them.  Raises FlipTimeError if no such minimum occurs
     within FLIP_WINDOW_FACTOR times the analytic Rabi half-period
     pi / (2 g mu_B B_ac).  `h_rwa` is H_rwa of the resolved `cfg` when the
     caller has built it already.
@@ -136,8 +138,12 @@ def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
         h_rwa = device.build_hamiltonian_rwa(cfg)
     energies, weights = _up_amplitudes(cfg, h_rwa)
     times = np.linspace(0.0, window, FLIP_SAMPLES)
-    amplitudes = weights @ np.exp(-1j * np.outer(energies, times))
-    idx = _first_minimum_below_half(np.sum(np.abs(amplitudes) ** 2, axis=0))
+
+    def p_up(start, stop):
+        amplitudes = weights @ np.exp(-1j * np.outer(energies, times[start:stop]))
+        return np.sum(np.abs(amplitudes) ** 2, axis=0)
+
+    idx = _scan_first_minimum(p_up, FLIP_SAMPLES)
     if idx is None:
         raise FlipTimeError("target never reached a P_up minimum below 0.5 within "
                             f"{FLIP_WINDOW_FACTOR}x the Rabi half-period")
@@ -160,6 +166,20 @@ def _first_minimum_below_half(pops: np.ndarray):
     inner = pops[1:-1]
     hits = np.flatnonzero((inner < 0.5) & (inner <= pops[:-2]) & (inner <= pops[2:]))
     return int(hits[0]) + 1 if hits.size else None
+
+
+def _scan_first_minimum(p_up, samples: int):
+    """`_first_minimum_below_half` of all `samples`, FLIP_BLOCK at a time.
+
+    `p_up(start, stop)` gives P_up on samples start..stop-1.  Consecutive
+    blocks share two samples, so every interior sample is tested against
+    both neighbours, and the scan stops at the first block with a hit.
+    """
+    for start in range(0, samples - 2, FLIP_BLOCK - 2):
+        idx = _first_minimum_below_half(p_up(start, min(start + FLIP_BLOCK, samples)))
+        if idx is not None:
+            return start + idx
+    return None
 
 
 def _p_up_slopes(energies: np.ndarray, weights: np.ndarray, t: float) -> tuple:

@@ -5,12 +5,15 @@ The equation of motion is
     drho/dt = -i [H, rho] + sum_n ( C_n rho C_n^+ - 1/2 {C_n^+ C_n, rho} )
 
 with hbar = 1 (energies in ueV, time in model units).  For a static H,
-`propagate` evaluates rho(t) = exp(L t) rho(0) on evenly spaced times:
-one exponential E = exp(L dt) by the scaling-and-squaring Pade [13/13]
-method in numpy (`_expm`: Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-(2005); Moler & Van Loan, SIAM Rev. 45, 3 (2003)), applied step by step
-to all initial states at once.  It needs no eigendecomposition of L, so
-it stays accurate at exceptional points.  `evolve` integrates the
+`propagate` evaluates rho(t) = exp(L t) rho(0) on evenly spaced times.  L
+maps Hermitian matrices to Hermitian ones, so on the d^2 real coordinates
+of a Hermitian rho (the coherence-vector form: Alicki & Lendi, Quantum
+Dynamical Semigroups, 1987) it is a real matrix G.  One exponential
+E = exp(G dt) by the scaling-and-squaring Pade [13/13] method in numpy
+(`_expm`: Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005); Moler & Van
+Loan, SIAM Rev. 45, 3 (2003)) is applied step by step to all initial
+states at once.  It needs no eigendecomposition of L, so it stays
+accurate at exceptional points.  `evolve` integrates the
 flattened real representation of rho with scipy's adaptive RK45
 (Dormand-Prince 5(4)); it serves the time-dependent lab frame and the
 cross-checks.  `expm_oracle` is the single-time matrix-exponential
@@ -27,6 +30,7 @@ anticommutator term, and H Hermitian,
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +44,8 @@ HERMITIZATION_TOL = 1e-8
 # an error signal (simulate's trace_error); above it the propagator has
 # broken down, e.g. squarings that underflowed to the zero matrix.
 TRACE_TOL = 1e-3
+# Least eigenvalue a propagated state may show (criterion 2's floor)
+EIG_FLOOR = -1e-7
 
 # Pade [13/13] coefficients of exp, and the largest 1-norm at which that
 # approximant's backward error stays below unit roundoff (Higham 2005)
@@ -51,8 +57,8 @@ _THETA13 = 5.371920351148152
 
 
 class SolverError(RuntimeError):
-    """Propagation failed: step-size underflow, tolerance, Hermiticity,
-    a non-finite value or a collapsed trace."""
+    """Propagation failed: step-size underflow, tolerance, Hermiticity, a
+    negative eigenvalue, a non-finite value or a collapsed trace."""
 
 
 def _collapse_matrices(collapse) -> np.ndarray:
@@ -101,6 +107,67 @@ def _real_liouvillian(lv: np.ndarray) -> np.ndarray:
     """Real 2d^2 x 2d^2 block form acting on [Re vec(rho); Im vec(rho)]."""
     re, im = lv.real.copy(), lv.imag.copy()
     return np.block([[re, -im], [im, re]])
+
+
+@functools.cache
+def _hermitian_indices(d: int) -> tuple:
+    """Read-only vec indices (diag, up, lo) = (k(d+1), kd+l, ld+k), k < l."""
+    k, l = np.triu_indices(d, 1)
+    out = (np.arange(d) * (d + 1), k * d + l, l * d + k)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _to_real(rho: np.ndarray) -> np.ndarray:
+    """(..., d, d) -> (..., d^2): the diagonal, then Re and Im of the upper triangle."""
+    diag, up, _ = _hermitian_indices(rho.shape[-1])
+    vec = rho.reshape(*rho.shape[:-2], -1)
+    return np.concatenate((vec[..., diag].real, vec[..., up].real, vec[..., up].imag), axis=-1)
+
+
+def _from_real(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian (..., d, d) matrices of real coordinates (..., d^2)."""
+    diag, up, lo = _hermitian_indices(d)
+    vec = np.zeros((*x.shape[:-1], d * d), dtype=complex)
+    vec.real[..., diag] = x[..., :d]
+    vec.real[..., up] = vec.real[..., lo] = x[..., d:d + len(up)]
+    vec.imag[..., up] = x[..., d + len(up):]
+    vec.imag[..., lo] = -x[..., d + len(up):]
+    return vec.reshape(*x.shape[:-1], d, d)
+
+
+def _skew(a: np.ndarray) -> float:
+    """Largest entry of |a - a^+| over a stack of square matrices; NaN propagates."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max()
+
+
+def _real_generator(h: np.ndarray, collapse) -> np.ndarray:
+    """L = liouvillian(h, collapse) in the coordinates of `_to_real`, a real matrix.
+
+    The columns L[:, diag], L[:, up] + L[:, lo] and i (L[:, up] - L[:, lo])
+    are L on a Hermitian basis; their rows Re[diag], Re[up] and Im[up] are
+    kept.  Raises SolverError if H or those images are not Hermitian to
+    HERMITIZATION_TOL of L's largest entry.
+    """
+    lv = liouvillian(h, collapse)
+    d = h.shape[0]
+    diag, up, lo = _hermitian_indices(d)
+    l_up, l_lo = lv[:, up], lv[:, lo]
+    cols = np.concatenate((lv[:, diag], l_up + l_lo, 1j * (l_up - l_lo)), axis=1)
+    tol = HERMITIZATION_TOL * np.abs(lv).max()
+    skew, leak = _skew(h), _skew(cols.T.reshape(-1, d, d))
+    if not (skew <= tol and leak <= tol):       # also catches NaN
+        raise SolverError(f"generator is not Hermitian: H deviates by {skew:.3e}, L's "
+                          f"images of Hermitian matrices by {leak:.3e}")
+    return np.concatenate((cols[diag].real, cols[up].real, cols[up].imag))
+
+
+def _check_physical(states: np.ndarray, where: str) -> None:
+    """Raise SolverError if a state has an eigenvalue below EIG_FLOOR, or NaN."""
+    least = np.linalg.eigvalsh(states).min()
+    if not least >= EIG_FLOOR:              # also catches NaN
+        raise SolverError(f"{where}: least eigenvalue {least:.3e} below {EIG_FLOOR}")
 
 
 def expm_oracle(h: np.ndarray, collapse, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -160,11 +227,13 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
               samples: int = 2) -> np.ndarray:
     """Exact rho on np.linspace(0, t_end, samples) for a static H.
 
-    Returns shape (len(rho0s), samples, d, d).  One step E = expm(L dt),
-    dt = t_end / (samples - 1), is applied `samples - 1` times to all
-    initial states at once.  The Hermiticity check of `evolve` applies;
-    the trace is not renormalized.  A non-finite step or state, or a
-    trace drift beyond TRACE_TOL, raises SolverError.
+    Returns shape (len(rho0s), samples, d, d), Hermitian by construction.
+    One step E = expm(G dt) of the real generator, dt = t_end / (samples - 1),
+    is applied `samples - 1` times to the real coordinates of all initial
+    states at once; the trace is not renormalized.  A non-Hermitian initial
+    state raises ValueError.  A non-Hermitian generator, a non-finite step or
+    state, a trace drift beyond TRACE_TOL, or a propagated state with an
+    eigenvalue below EIG_FLOOR raises SolverError.
     """
     if callable(h):
         raise ValueError("propagate requires a time-independent Hamiltonian")
@@ -175,25 +244,27 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
         raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
     if not t_end >= 0 or samples < 2:
         raise ValueError("propagate needs t_end >= 0 and samples >= 2")
+    if not (skew := _skew(rho0s)) <= HERMITIZATION_TOL:      # also catches NaN
+        raise ValueError(f"initial state is not Hermitian: deviation {skew:.3e}")
+    generator = _real_generator(h, collapse)
     # overflow is not warned about here: the checks below raise on its result
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _expm(liouvillian(h, collapse) * (t_end / (samples - 1)))
-        vecs = np.empty((samples, d * d, len(rho0s)), dtype=complex)
-        vecs[0] = rho0s.reshape(len(rho0s), d * d).T
+        step = _expm(generator * (t_end / (samples - 1)))
+        coords = np.empty((samples, d * d, len(rho0s)))
+        coords[0] = _to_real(rho0s).T
         for k in range(1, samples):
-            vecs[k] = step @ vecs[k - 1]
-    states = vecs.transpose(2, 0, 1).reshape(len(rho0s), samples, d, d)
-    if not np.isfinite(states).all():
+            coords[k] = step @ coords[k - 1]
+    where = f"propagation to t = {t_end:.6g}"
+    if not np.isfinite(coords).all():
         what = "state" if np.isfinite(step).all() else "step exp(L dt)"
-        raise SolverError(f"propagation to t = {t_end:.6g}: non-finite {what}")
-    drift = np.abs(np.einsum("...ii->...", states).real - 1.0).max()
+        raise SolverError(f"{where}: non-finite {what}")
+    coords = coords.transpose(2, 0, 1)
+    drift = np.abs(coords[..., :d].sum(axis=-1) - 1.0).max()
     if drift > TRACE_TOL:
-        raise SolverError(f"propagation to t = {t_end:.6g}: trace drift {drift:.3e} "
-                          f"exceeds {TRACE_TOL}")
-    try:
-        return _hermitized(states)
-    except SolverError as exc:
-        raise SolverError(f"propagation to t = {t_end:.6g}: {exc}") from exc
+        raise SolverError(f"{where}: trace drift {drift:.3e} exceeds {TRACE_TOL}")
+    states = _from_real(coords, d)
+    _check_physical(states[:, 1:], where)
+    return states
 
 
 @dataclass

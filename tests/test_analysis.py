@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdgates import analysis
 from qdgates.analysis import (
+    FLIP_BLOCK,
     FLIP_SAMPLES,
     FLIP_WINDOW_FACTOR,
     FlipTimeError,
@@ -23,6 +24,8 @@ from qdgates.analysis import (
     run_sweep,
     _first_minimum_below_half,
     _p_up_slopes,
+    _scan_first_minimum,
+    _stationary_point,
     _up_amplitudes,
 )
 from qdgates.calibration import HIGH_ROW, LOW_ROW
@@ -230,6 +233,72 @@ class TestFirstMinimum:
 
     def test_no_minimum_below_half(self):
         assert _first_minimum_below_half(np.array([0.9, 0.5, 0.9, 0.2])) is None
+
+
+def flip_time_by_full_scan(cfg):
+    """The flip time from all FLIP_SAMPLES samples at once, as before blocking."""
+    cfg = resolve_drive(cfg)
+    energies, weights = closed_form(cfg)
+    window = FLIP_WINDOW_FACTOR * math.pi / (2.0 * abs(cfg.drive_energy))
+    times = np.linspace(0.0, window, FLIP_SAMPLES)
+    idx = _first_minimum_below_half(p_up(energies, weights, times))
+    return _stationary_point(energies, weights, times[idx - 1], times[idx + 1], times[idx])
+
+
+TOFFOLI_ROW = SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=0.004,
+                            exchange=(0.42, 0.42))
+SCAN_GRIDS = (
+    [pytest.param(TOFFOLI_ROW.config(g), id=f"toffoli-{g:.3g}T")
+     for g in np.linspace(0.15, 2.25, 8)]
+    + [pytest.param(HIGH_ROW.config(g), id=f"high-row-{g:.3g}T")
+       for g in np.geomspace(0.005, 2.5, 8)]
+    + [pytest.param(LOW_ROW.config(g), id=f"low-row-{g:.4g}T")
+       for g in np.geomspace(0.003, 0.1441, 7)]
+)
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("cfg", SCAN_GRIDS)
+    def test_flip_time_matches_the_full_scan_bit_for_bit(self, cfg):
+        assert flip_time(cfg) == flip_time_by_full_scan(cfg)
+
+    def test_minimum_at_every_sample(self):
+        # a lone minimum anywhere, block edges included, is found where the
+        # full rule finds it
+        for where in range(1, FLIP_SAMPLES - 1):
+            pops = np.full(FLIP_SAMPLES, 0.9)
+            pops[where] = 0.1
+            assert _scan_first_minimum(lambda a, b: pops[a:b], FLIP_SAMPLES) == where
+
+    @pytest.mark.parametrize("start", [FLIP_BLOCK - 4, FLIP_BLOCK - 3, FLIP_BLOCK - 2])
+    def test_plateau_across_a_block_edge_takes_its_first_sample(self, start):
+        pops = np.full(FLIP_SAMPLES, 0.9)
+        pops[start:start + 4] = 0.1
+        assert _scan_first_minimum(lambda a, b: pops[a:b], FLIP_SAMPLES) == start
+
+    def test_stops_at_the_first_block_with_a_hit(self):
+        pops = np.full(FLIP_SAMPLES, 0.9)
+        pops[FLIP_BLOCK + 10] = 0.1
+        pops[3 * FLIP_BLOCK] = 0.0
+        blocks = []
+
+        def recorded(a, b):
+            blocks.append((a, b))
+            return pops[a:b]
+
+        assert _scan_first_minimum(recorded, FLIP_SAMPLES) == FLIP_BLOCK + 10
+        assert blocks == [(0, FLIP_BLOCK), (FLIP_BLOCK - 2, 2 * FLIP_BLOCK - 2)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0.0, 0.2, 0.49, 0.5, 0.51, 0.9])
+                    | st.floats(0.0, 1.0), max_size=30),
+           st.integers(3, 8))
+    def test_any_block_size_matches_the_loop(self, values, block):
+        pops = np.array(values, dtype=float)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "FLIP_BLOCK", block)
+            found = _scan_first_minimum(lambda a, b: pops[a:b], len(pops))
+        assert found == first_minimum_by_loop(pops)
 
 
 def product_state(p_up_per_qubit):

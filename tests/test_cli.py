@@ -345,7 +345,7 @@ class TestCliErrors:
         ("1e300", "true", "trace drift"),         # squarings underflow to zero
         ("1e300", "false", "non-finite step"),    # squarings overflow to NaN
         ("1e308", "true", "1-norm inf"),          # L dt itself overflows
-        ("1e9", "false", "Hermiticity"),          # squarings lose Hermiticity
+        ("1e9", "false", "least eigenvalue"),     # squarings lose positivity
     ])
     def test_propagation_breakdown_is_an_error(self, tmp_path, capsys, t_end_ns,
                                                noise, reason):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
+from qdgates import lindblad
 from qdgates.analysis import SweepTemplate, flip_time, point_model
 from qdgates.calibration import HIGH_ROW, LOW_ROW
 from qdgates.device import (
@@ -16,9 +17,14 @@ from qdgates.device import (
 )
 from qdgates.lindblad import (
     _THETA13,
+    EIG_FLOOR,
     SolverError,
+    _check_physical,
     _expm,
+    _from_real,
     _hermitized,
+    _real_generator,
+    _to_real,
     evolve,
     expm_oracle,
     lindblad_rhs,
@@ -140,6 +146,76 @@ class TestLiouvillian:
             cdc = c.conj().T @ c
             ref += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
         np.testing.assert_allclose(liouvillian(h, ops), ref, rtol=0, atol=1e-13)
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Dense T: its columns are vec of the Hermitian basis that the real
+    coordinates use, |k><k|, then |k><l| + |l><k| and i|k><l| - i|l><k| for
+    k < l in row-major order."""
+    pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
+    cols = []
+    for entries in ([[(k, k, 1.0)] for k in range(d)],
+                    [[(k, l, 1.0), (l, k, 1.0)] for k, l in pairs],
+                    [[(k, l, 1j), (l, k, -1j)] for k, l in pairs]):
+        for group in entries:
+            e = np.zeros((d, d), dtype=complex)
+            for i, j, v in group:
+                e[i, j] = v
+            cols.append(e.ravel())
+    return np.array(cols).T
+
+
+class TestRealCoordinates:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1),
+           m=st.integers(0, 4))
+    def test_generator_is_the_basis_change_of_l(self, d, seed, m):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, d)
+        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+               for _ in range(m)]
+        t = hermitian_basis(d)
+        lv = liouvillian(h, ops)
+        dense = np.linalg.solve(t, lv @ t)
+        tol = 1e-12 * np.abs(lv).max()
+        assert np.abs(dense.imag).max() <= tol
+        assert np.abs(_real_generator(h, ops) - dense.real).max() <= tol
+        rho = random_hermitian(rng, d)
+        coords = _to_real(rho)
+        assert np.array_equal(_from_real(coords, d), rho)
+        assert np.abs(t @ coords - rho.ravel()).max() <= 1e-15 * np.abs(rho).max()
+
+    def test_non_hermitian_hamiltonian_is_a_generator_error(self, rng):
+        h = random_hermitian(rng, 4)
+        h[0, 1] += 1e-3
+        with pytest.raises(SolverError, match="generator"):
+            propagate(h, None, [np.eye(4) / 4], 1.0)
+
+    def test_generator_that_breaks_hermiticity_is_an_error(self, rng, monkeypatch):
+        # liouvillian preserves Hermiticity by construction; a corrupted L
+        # must still be caught before it is exponentiated
+        build = lindblad.liouvillian
+        junk = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        monkeypatch.setattr(lindblad, "liouvillian",
+                            lambda h, c: build(h, c) + 1e-3 * junk)
+        with pytest.raises(SolverError, match="generator"):
+            propagate(random_hermitian(rng, 4), None, [np.eye(4) / 4], 1.0)
+
+    def test_non_hermitian_initial_state_is_rejected(self, rng):
+        rho = random_density(rng, 4)
+        rho[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            propagate(random_hermitian(rng, 4), None, [rho], 1.0)
+
+    def test_physicality_floor(self):
+        ok = np.diag([1.0 - 0.5 * EIG_FLOOR, 0.5 * EIG_FLOOR]).astype(complex)
+        _check_physical(ok[None], "here")
+        bad = np.diag([1.0 - 2.0 * EIG_FLOOR, 2.0 * EIG_FLOOR]).astype(complex)
+        with pytest.raises(SolverError, match="here: least eigenvalue"):
+            _check_physical(bad[None], "here")
+        # NaN compares False with any floor; the check must still fail
+        with pytest.raises(SolverError, match="eigenvalue nan"):
+            _check_physical(np.full((1, 2, 2), np.nan, dtype=complex), "here")
 
 
 class TestPropagate:
