@@ -8,12 +8,17 @@ with hbar = 1 (energies in ueV, time in model units).  For a static H,
 `propagate` evaluates rho(t) = exp(L t) rho(0) on evenly spaced times.  L
 maps Hermitian matrices to Hermitian ones, so on the d^2 real coordinates
 of a Hermitian rho (the coherence-vector form: Alicki & Lendi, Quantum
-Dynamical Semigroups, 1987) it is a real matrix G.  One exponential
+Dynamical Semigroups, 1987) it is a real matrix G.  The rate table is the
+generator: in the collapse set's basis, the static eigenbasis, each
+relaxation row only moves population and damps coherences (the Pauli
+master equation: Breuer & Petruccione, The Theory of Open Quantum Systems,
+2002), so G is built there with no collapse matrix formed.  One exponential
 E = exp(G dt) by the scaling-and-squaring Pade [13/13] method in numpy
 (`_expm`: Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005); Moler & Van
 Loan, SIAM Rev. 45, 3 (2003)) is applied step by step to all initial
 states at once.  It needs no eigendecomposition of L, so it stays
-accurate at exceptional points.  `evolve` integrates the
+accurate at exceptional points.  The dense computational-basis L of
+`liouvillian` serves the references only: `evolve` integrates the
 flattened real representation of rho with scipy's adaptive RK45
 (Dormand-Prince 5(4)); it serves the time-dependent lab frame and the
 cross-checks.  `expm_oracle` is the single-time matrix-exponential
@@ -84,15 +89,29 @@ def lindblad_rhs(h: np.ndarray, collapse, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two d x d matrices, by broadcasting."""
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
+def _check_hermitian(h: np.ndarray, scale: float) -> None:
+    """Raise SolverError if H deviates from Hermitian by more than
+    HERMITIZATION_TOL of `scale`, the generator's largest entry."""
+    skew = _skew(h)
+    if not skew <= HERMITIZATION_TOL * scale:      # also catches NaN
+        raise SolverError(f"generator is not Hermitian: H deviates by {skew:.3e}")
+
+
 def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
     """Vectorized generator L with vec(rho) = rho.ravel() (row stacking).
 
-    `h` must be Hermitian, since conj(K) stands in for the transposes of
-    H and sum_n C_n^+ C_n.
+    conj(K) stands in for the transposes of H and sum_n C_n^+ C_n, so a
+    non-Hermitian `h` raises SolverError instead of giving wrong dynamics.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d)
     c = _collapse_matrices(collapse)
     if len(c):
         k = h - 0.5j * np.einsum("kji,kjl->il", c.conj(), c, optimize=True)
@@ -100,7 +119,9 @@ def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
                           optimize=True).reshape(d * d, d * d)
     else:
         k, jumps = h, 0.0
-    return -1j * np.kron(k, eye) + 1j * np.kron(eye, k.conj()) + jumps
+    lv = _kron(-1j * k, eye) + _kron(eye, 1j * k.conj()) + jumps
+    _check_hermitian(h, np.abs(lv).max())
+    return lv
 
 
 def _real_liouvillian(lv: np.ndarray) -> np.ndarray:
@@ -142,25 +163,49 @@ def _skew(a: np.ndarray) -> float:
     return np.abs(a - a.conj().swapaxes(-1, -2)).max()
 
 
-def _real_generator(h: np.ndarray, collapse) -> np.ndarray:
-    """L = liouvillian(h, collapse) in the coordinates of `_to_real`, a real matrix.
+def _generator(h: np.ndarray, collapse) -> tuple:
+    """(G, V): L on the real coordinates of V^+ rho V, with V the collapse
+    set's basis (the identity for None).
 
-    The columns L[:, diag], L[:, up] + L[:, lo] and i (L[:, up] - L[:, lo])
-    are L on a Hermitian basis; their rows Re[diag], Re[up] and Im[up] are
-    kept.  Raises SolverError if H or those images are not Hermitian to
-    HERMITIZATION_TOL of L's largest entry.
+    In V, L is -i K' (x) I + i I (x) conj(K') + gamma_phi Z' (x) conj(Z'),
+    K' = V^+ H V - (i/2)(diag Gamma + gamma_phi Z'^+ Z'), Z' = V^+ sigma_z V
+    and Gamma the total rate out of each level, gathered onto the Hermitian
+    basis, plus each relaxation rate at G[to, from].  Raises SolverError if
+    H is not Hermitian to HERMITIZATION_TOL of G's largest entry.
     """
-    lv = liouvillian(h, collapse)
     d = h.shape[0]
+    # transfer[to, from] sums the rates of the relaxation rows from -> to
+    if collapse is None:
+        v, gamma_phi = np.eye(d), 0.0
+        transfer = np.zeros((d, d))
+    else:
+        v = collapse.basis
+        if v.shape != h.shape:
+            raise ValueError(f"collapse basis {v.shape} does not match H {h.shape}")
+        relaxation, src, dst, dephasing = collapse.rows
+        gamma_phi = collapse.rate[dephasing].sum()
+        transfer = np.bincount(dst * d + src, collapse.rate[relaxation], d * d).reshape(d, d)
+    vh = v.conj().T
+    k = vh @ h @ v
+    k[np.diag_indices(d)] -= 0.5j * transfer.sum(axis=0)
+    # m[i, a, j, b] is the complex part's entry at row (i, a), column (j, b)
+    if gamma_phi:
+        z = vh @ collapse.sigma_z @ v
+        k -= 0.5j * gamma_phi * (z.conj().T @ z)
+        m = gamma_phi * z[:, None, :, None] * z.conj()[None, :, None, :]
+    else:
+        m = np.zeros((d, d, d, d), dtype=complex)
+    levels = np.arange(d)
+    m[:, levels, :, levels] += -1j * k            # -i K' (x) I
+    m[levels, :, levels, :] += 1j * k.conj()      # i I (x) conj(K')
     diag, up, lo = _hermitian_indices(d)
-    l_up, l_lo = lv[:, up], lv[:, lo]
-    cols = np.concatenate((lv[:, diag], l_up + l_lo, 1j * (l_up - l_lo)), axis=1)
-    tol = HERMITIZATION_TOL * np.abs(lv).max()
-    skew, leak = _skew(h), _skew(cols.T.reshape(-1, d, d))
-    if not (skew <= tol and leak <= tol):       # also catches NaN
-        raise SolverError(f"generator is not Hermitian: H deviates by {skew:.3e}, L's "
-                          f"images of Hermitian matrices by {leak:.3e}")
-    return np.concatenate((cols[diag].real, cols[up].real, cols[up].imag))
+    m = m.reshape(d * d, d * d)[np.concatenate((diag, up))]
+    m_up, m_lo = m[:, up], m[:, lo]
+    cols = np.concatenate((m[:, diag], m_up + m_lo, 1j * (m_up - m_lo)), axis=1)
+    g = np.concatenate((cols.real, cols[d:].imag))
+    g[:d, :d] += transfer
+    _check_hermitian(h, np.abs(g).max())
+    return g, v
 
 
 def _check_physical(states: np.ndarray, where: str) -> None:
@@ -171,7 +216,11 @@ def _check_physical(states: np.ndarray, where: str) -> None:
 
 
 def expm_oracle(h: np.ndarray, collapse, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Exact rho(t) for time-independent H via scipy's Pade scaling-and-squaring."""
+    """Exact rho(t) for time-independent H via scipy's Pade scaling-and-squaring.
+
+    `rho0` is one (d, d) state or a stack (..., d, d) of them; one scipy
+    `expm` serves them all, and the result has the shape of `rho0`.
+    """
     # imported here: the reference is kept independent of `_expm`, and no
     # CLI mode should pay scipy's import time
     from scipy.linalg import expm
@@ -181,9 +230,8 @@ def expm_oracle(h: np.ndarray, collapse, rho0: np.ndarray, t: float) -> np.ndarr
     h = np.asarray(h, dtype=complex)
     rho0 = np.asarray(rho0, dtype=complex)
     d = h.shape[0]
-    lv = liouvillian(h, collapse)
-    vec = expm(lv * t) @ rho0.ravel()
-    return vec.reshape(d, d)
+    step = expm(liouvillian(h, collapse) * t)
+    return (rho0.reshape(-1, d * d) @ step.T).reshape(rho0.shape)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -227,13 +275,15 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
               samples: int = 2) -> np.ndarray:
     """Exact rho on np.linspace(0, t_end, samples) for a static H.
 
-    Returns shape (len(rho0s), samples, d, d), Hermitian by construction.
-    One step E = expm(G dt) of the real generator, dt = t_end / (samples - 1),
-    is applied `samples - 1` times to the real coordinates of all initial
-    states at once; the trace is not renormalized.  A non-Hermitian initial
-    state raises ValueError.  A non-Hermitian generator, a non-finite step or
-    state, a trace drift beyond TRACE_TOL, or a propagated state with an
-    eigenvalue below EIG_FLOOR raises SolverError.
+    `collapse` is a `CollapseSet` or None.  Returns shape
+    (len(rho0s), samples, d, d).  One step E = expm(G dt) of the real
+    generator, dt = t_end / (samples - 1), is applied `samples - 1` times to
+    the real coordinates of all initial states at once, in the collapse
+    set's basis; the trace is not renormalized.  A non-Hermitian initial
+    state, or a basis that does not match H, raises ValueError.  A
+    non-Hermitian H, a non-finite step or state, a trace drift beyond
+    TRACE_TOL, or a propagated state with an eigenvalue below EIG_FLOOR
+    raises SolverError.
     """
     if callable(h):
         raise ValueError("propagate requires a time-independent Hamiltonian")
@@ -246,12 +296,13 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
         raise ValueError("propagate needs t_end >= 0 and samples >= 2")
     if not (skew := _skew(rho0s)) <= HERMITIZATION_TOL:      # also catches NaN
         raise ValueError(f"initial state is not Hermitian: deviation {skew:.3e}")
-    generator = _real_generator(h, collapse)
+    generator, v = _generator(h, collapse)
+    vh = v.conj().T
     # overflow is not warned about here: the checks below raise on its result
     with np.errstate(over="ignore", invalid="ignore"):
         step = _expm(generator * (t_end / (samples - 1)))
         coords = np.empty((samples, d * d, len(rho0s)))
-        coords[0] = _to_real(rho0s).T
+        coords[0] = _to_real(vh @ rho0s @ v).T
         for k in range(1, samples):
             coords[k] = step @ coords[k - 1]
     where = f"propagation to t = {t_end:.6g}"
@@ -262,7 +313,7 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
     drift = np.abs(coords[..., :d].sum(axis=-1) - 1.0).max()
     if drift > TRACE_TOL:
         raise SolverError(f"{where}: trace drift {drift:.3e} exceeds {TRACE_TOL}")
-    states = _from_real(coords, d)
+    states = v @ _from_real(coords, d) @ vh
     _check_physical(states[:, 1:], where)
     return states
 

@@ -18,8 +18,10 @@ t_k the '+' rates dominate, so the low-lying spin configurations are the
 ones that degrade fastest.  An optional collective sigma_z^(x)n dephasing
 channel with time constant t2_star completes the set.
 
-The noise model is one rate table, `CollapseSet`, with a row per
-operator; the rate functions take scalars or arrays of gaps.
+The noise model is one rate table, `CollapseSet`, with a row per operator
+and the static eigenvectors as its basis; it is the generator that
+`lindblad.propagate` builds from.  The operators themselves are a derived
+view for the dense references.  The rate functions take scalars or arrays.
 
 upsilon and phonon_p are free constants of the model.  The shipped
 defaults were calibrated once against reference operating-range targets
@@ -30,11 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .operators import EigenSystem, SIGMA_Z, kron, label_to_index
+from .operators import EigenSystem, SIGMA_Z, kron, label_to_index, n_qubits_of
 from .device import ns_to_time
 
 # Calibrated against the two-spin reference ranges; see module docstring.
@@ -47,6 +49,7 @@ T2_STAR_NS_DEFAULT = 1000.0    # ns (1 us)
 T2_STAR_DEFAULT = ns_to_time(T2_STAR_NS_DEFAULT)  # model time units
 
 RATE_FLOOR = 1e-30             # rates below this are clamped to zero
+BASIS_TOL = 1e-10              # largest |V^+ V - I| of a collapse basis
 
 PHONON_E_MODES = ("gap", "bare_zeeman")  # choices of NoiseConfig.phonon_e_mode
 
@@ -109,16 +112,20 @@ def phonon_rate(omega_signed, energy, p: float, t_k: float):
 
 
 @cache
-def dephasing_operator(n_qubits: int, t2_star: float) -> np.ndarray:
-    """Collective sqrt(1/(2 t2_star)) sigma_z x ... x sigma_z operator, read-only."""
-    if n_qubits not in (2, 3):
-        raise ValueError(f"dephasing operator defined for 2 or 3 qubits, got {n_qubits}")
+def sigma_z_string(dim: int) -> np.ndarray:
+    """sigma_z x ... x sigma_z on `dim` = 2^n levels, read-only."""
     op = SIGMA_Z
-    for _ in range(n_qubits - 1):
+    for _ in range(n_qubits_of(dim) - 1):
         op = kron(op, SIGMA_Z)
-    op = math.sqrt(1.0 / (2.0 * t2_star)) * op
     op.setflags(write=False)
     return op
+
+
+def dephasing_operator(n_qubits: int, t2_star: float) -> np.ndarray:
+    """Collective sqrt(1/(2 t2_star)) sigma_z x ... x sigma_z operator."""
+    if n_qubits not in (2, 3):
+        raise ValueError(f"dephasing operator defined for 2 or 3 qubits, got {n_qubits}")
+    return math.sqrt(1.0 / (2.0 * t2_star)) * sigma_z_string(2 ** n_qubits)
 
 
 @cache
@@ -130,6 +137,33 @@ def _level_pairs(dim: int) -> tuple:
     return pairs
 
 
+@cache
+def _row_layout(dim: int, channels: tuple, dephasing: bool) -> tuple:
+    """(channel, sign, transition) columns of a rate table: pair by pair, the
+    '+' (j -> k) and '-' (k -> j) rows of each channel, then dephasing."""
+    lo, hi = _level_pairs(dim)
+    channel = tuple(c for c in channels for _ in "+-") * len(lo)
+    sign = ("+", "-") * len(channels) * len(lo)
+    transition = tuple(t for j, k in zip(lo.tolist(), hi.tolist())
+                       for t in ((j, k), (k, j)) * len(channels))
+    if dephasing:
+        channel, sign, transition = channel + ("dephasing",), sign + ("",), transition + (None,)
+    return channel, sign, transition
+
+
+@lru_cache(maxsize=64)
+def _row_kinds(transition: tuple) -> tuple:
+    """(relaxation rows, their from and to levels, dephasing rows) of a
+    transition column, as read-only int arrays."""
+    relaxation = np.array([t is not None for t in transition], dtype=bool)
+    src, dst = np.array([t for t in transition if t is not None],
+                        dtype=np.intp).reshape(-1, 2).T
+    out = (np.flatnonzero(relaxation), src, dst, np.flatnonzero(~relaxation))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class CollapseSet:
     """The noise model as a rate table with one row per Lindblad operator.
@@ -137,15 +171,24 @@ class CollapseSet:
     Row i is (channel[i], sign[i], transition[i], rate[i]): channel is
     "hyperfine", "phonon" or "dephasing"; sign is "+" or "-" for the
     relaxation channels ("" for dephasing); transition is (from_level,
-    to_level) in ascending-energy eigenlevel indices (None for dephasing).
-    matrices[i] is the row's operator, sqrt(rate) |w_to><w_from| for a
-    relaxation row; the (m, d, d) array is read-only.
+    to_level), column indices of the unitary `basis` V (None for
+    dephasing).  In V a relaxation row moves population between two levels
+    and damps coherences; `lindblad.propagate` builds its generator from
+    the rows and forms no operator.  `matrices` is a derived view of the
+    operators for the dense references: sqrt(rate) |v_to><v_from|, and
+    sqrt(rate) sigma_z^(x)n for dephasing.
     """
     channel: tuple
     sign: tuple
     transition: tuple
     rate: np.ndarray
-    matrices: np.ndarray
+    basis: np.ndarray
+
+    def __post_init__(self):
+        v = self.basis
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or not (
+                np.abs(v.conj().T @ v - np.eye(len(v))).max() <= BASIS_TOL):
+            raise ValueError(f"collapse basis of shape {v.shape} is not unitary")
 
     def __len__(self) -> int:
         return len(self.channel)
@@ -153,6 +196,29 @@ class CollapseSet:
     def count(self, channel: str, sign: str = None) -> int:
         return sum(1 for c, s in zip(self.channel, self.sign)
                    if c == channel and (sign is None or s == sign))
+
+    @property
+    def rows(self) -> tuple:
+        """(relaxation rows, their from and to levels, dephasing rows)."""
+        return _row_kinds(self.transition)
+
+    @property
+    def sigma_z(self) -> np.ndarray:
+        """The dephasing rows' operator at unit rate, read-only."""
+        return sigma_z_string(len(self.basis))
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The rows' operators, (m, d, d), read-only."""
+        relaxation, src, dst, dephasing = self.rows
+        vectors = self.basis.T
+        out = np.empty((len(self), len(vectors), len(vectors)), dtype=complex)
+        out[relaxation] = vectors[dst][:, :, None] * vectors[src].conj()[:, None, :]
+        if len(dephasing):
+            out[dephasing] = self.sigma_z
+        out *= np.sqrt(self.rate)[:, None, None]
+        out.setflags(write=False)
+        return out
 
 
 def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
@@ -171,16 +237,14 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
     if noise.phonon_e_mode == "bare_zeeman" and zeeman_energies is None:
         raise ValueError("bare_zeeman mode needs per-basis-state Zeeman energies")
 
-    d = eig.dim
-    lo, hi = _level_pairs(d)
+    lo, hi = _level_pairs(eig.dim)
     gap = eig.energies[hi] - eig.energies[lo]
-    # one (channel, sign, from levels, to levels, rates) column per direction
-    columns = []
+    # per enabled channel, the '+' and the '-' rates over all pairs
+    channels, rates = (), []
     if noise.hyperfine:
-        columns += [("hyperfine", "+", lo, hi,
-                     hyperfine_rate_down(gap, noise.upsilon, noise.delta_e_nuc)),
-                    ("hyperfine", "-", hi, lo,
-                     hyperfine_rate_up(gap, noise.upsilon, noise.delta_e_nuc, noise.t_k))]
+        channels += ("hyperfine",)
+        rates += [hyperfine_rate_down(gap, noise.upsilon, noise.delta_e_nuc),
+                  hyperfine_rate_up(gap, noise.upsilon, noise.delta_e_nuc, noise.t_k)]
     if noise.phonon:
         if noise.phonon_e_mode == "gap":
             energy = gap
@@ -190,33 +254,14 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
                                  "label; bare_zeeman mode needs a labeled spectrum")
             zeeman = np.asarray(zeeman_energies)[[label_to_index(x) for x in eig.labels]]
             energy = np.abs(zeeman[hi] - zeeman[lo])
-        columns += [("phonon", "+", lo, hi,
-                     phonon_rate(gap, energy, noise.phonon_p, noise.t_k)),
-                    ("phonon", "-", hi, lo,
-                     phonon_rate(-gap, energy, noise.phonon_p, noise.t_k))]
-    n_pairs = len(lo)
-    channel = tuple(c[0] for c in columns) * n_pairs
-    sign = tuple(c[1] for c in columns) * n_pairs
-    # rows pair by pair (every direction of pair 0, then of pair 1, ...);
-    # rates below RATE_FLOOR are clamped to zero
-    src, dst, rate = (np.array([c[i] for c in columns], dtype=dtype)
-                      .reshape(-1, n_pairs).T.ravel()
-                      for i, dtype in ((2, int), (3, int), (4, float)))
+        channels += ("phonon",)
+        rates += [phonon_rate(gap, energy, noise.phonon_p, noise.t_k),
+                  phonon_rate(-gap, energy, noise.phonon_p, noise.t_k)]
+    # rows pair by pair, as `_row_layout` orders them; rates below
+    # RATE_FLOOR are clamped to zero
+    rate = np.array(rates).T.ravel()
     rate = np.where(rate >= RATE_FLOOR, rate, 0.0)
-    vectors = eig.vectors.T
-    matrices = np.sqrt(rate)[:, None, None] * (
-        vectors[dst][:, :, None] * vectors[src].conj()[:, None, :])
-    transition = tuple(zip(src.tolist(), dst.tolist()))
-
     if noise.dephasing:
-        n_qubits = d.bit_length() - 1
-        dephasing = dephasing_operator(n_qubits, noise.t2_star)
-        matrices = np.concatenate([matrices, dephasing[None]])
-        channel += ("dephasing",)
-        sign += ("",)
-        transition += (None,)
         rate = np.append(rate, 1.0 / (2.0 * noise.t2_star))
-    matrices.setflags(write=False)
     rate.setflags(write=False)
-    return CollapseSet(channel, sign, transition, rate, matrices)
-
+    return CollapseSet(*_row_layout(eig.dim, channels, noise.dephasing), rate, eig.vectors)

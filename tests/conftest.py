@@ -68,9 +68,10 @@ def eigenvector_reference(h, collapse, rho0, t):
 
     A second exact route, independent of the matrix exponential that both
     `propagate` and `expm_oracle` use; trusted only where V is well
-    conditioned.
+    conditioned.  `rho0` is one state or a stack of them, as in `expm_oracle`.
     """
     rho0 = np.asarray(rho0, dtype=complex)
+    d = rho0.shape[-1]
     lam, v = np.linalg.eig(liouvillian(h, collapse))
-    vec = v @ (np.exp(lam * t) * np.linalg.solve(v, rho0.ravel()))
-    return vec.reshape(rho0.shape)
+    vecs = v @ (np.exp(lam * t)[:, None] * np.linalg.solve(v, rho0.reshape(-1, d * d).T))
+    return vecs.T.reshape(rho0.shape)

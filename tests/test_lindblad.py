@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from qdgates import lindblad
-from qdgates.analysis import SweepTemplate, flip_time, point_model
+from qdgates.analysis import SweepTemplate, Thresholds, evaluate_point, flip_time, point_model
 from qdgates.calibration import HIGH_ROW, LOW_ROW
 from qdgates.device import (
     build_hamiltonian_rwa,
@@ -23,7 +23,7 @@ from qdgates.lindblad import (
     _expm,
     _from_real,
     _hermitized,
-    _real_generator,
+    _generator,
     _to_real,
     evolve,
     expm_oracle,
@@ -31,7 +31,13 @@ from qdgates.lindblad import (
     liouvillian,
     propagate,
 )
-from qdgates.noise import NoiseConfig, build_collapse_set, dephasing_operator
+from qdgates.noise import (
+    RATE_FLOOR,
+    CollapseSet,
+    NoiseConfig,
+    build_collapse_set,
+    dephasing_operator,
+)
 from qdgates.operators import SIGMA_X, SIGMA_Z, basis_density, index_to_label, kron
 
 from conftest import (
@@ -53,10 +59,25 @@ def flip_step_generator(row: SweepTemplate, gradient: float) -> np.ndarray:
 
 def exceptional_point_setup() -> tuple:
     """Driven decaying two-level system at Omega = gamma / 4 (gamma = 1),
-    where two eigenvalues of L coalesce."""
-    lower = np.zeros((2, 2), dtype=complex)
-    lower[1, 0] = 1.0
-    return 0.5 * 0.25 * SIGMA_X, [lower]
+    where two eigenvalues of L coalesce: one decay row 0 -> 1 at rate 1 in
+    the computational basis."""
+    decay = CollapseSet(("hyperfine",), ("-",), ((0, 1),), np.array([1.0]), np.eye(2))
+    return 0.5 * 0.25 * SIGMA_X, decay
+
+
+def random_rate_table(rng, d: int, dephasing: bool) -> CollapseSet:
+    """A rate table on a random unitary basis (QR of a complex Gaussian) with
+    a row for every ordered level pair: rates exactly 0, below RATE_FLOOR or
+    of order one, and an optional dephasing row."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    basis = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    pairs = tuple((j, k) for j in range(d) for k in range(d) if j != k)
+    rate = rng.choice([0.0, 0.1 * RATE_FLOOR, 1.0], size=len(pairs)) * rng.uniform(size=len(pairs))
+    channel, sign = ("hyperfine",) * len(pairs), ("+",) * len(pairs)
+    if dephasing:
+        channel, sign, pairs = channel + ("dephasing",), sign + ("",), pairs + (None,)
+        rate = np.append(rate, rng.uniform(0.1, 1.0))
+    return CollapseSet(channel, sign, pairs, rate, basis)
 
 
 def small_norm_generator() -> np.ndarray:
@@ -168,18 +189,22 @@ def hermitian_basis(d: int) -> np.ndarray:
 class TestRealCoordinates:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(d=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1),
-           m=st.integers(0, 4))
-    def test_generator_is_the_basis_change_of_l(self, d, seed, m):
+           dephasing=st.booleans())
+    def test_generator_is_l_in_the_collapse_basis(self, d, seed, dephasing):
+        # vec(V rho V^+) = (V (x) conj(V)) vec(rho), so in the basis V the
+        # dense L of the `matrices` view is W^+ L W with W = V (x) conj(V)
         rng = np.random.default_rng(seed)
         h = random_hermitian(rng, d)
-        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-               for _ in range(m)]
+        collapse = random_rate_table(rng, d, dephasing)
+        generator, v = _generator(h, collapse)
+        assert v is collapse.basis
+        w = np.kron(v, v.conj())
         t = hermitian_basis(d)
-        lv = liouvillian(h, ops)
-        dense = np.linalg.solve(t, lv @ t)
+        lv = liouvillian(h, collapse)
+        dense = np.linalg.solve(t, w.conj().T @ lv @ w @ t)
         tol = 1e-12 * np.abs(lv).max()
         assert np.abs(dense.imag).max() <= tol
-        assert np.abs(_real_generator(h, ops) - dense.real).max() <= tol
+        assert np.abs(generator - dense.real).max() <= tol
         rho = random_hermitian(rng, d)
         coords = _to_real(rho)
         assert np.array_equal(_from_real(coords, d), rho)
@@ -191,15 +216,28 @@ class TestRealCoordinates:
         with pytest.raises(SolverError, match="generator"):
             propagate(h, None, [np.eye(4) / 4], 1.0)
 
-    def test_generator_that_breaks_hermiticity_is_an_error(self, rng, monkeypatch):
-        # liouvillian preserves Hermiticity by construction; a corrupted L
-        # must still be caught before it is exponentiated
-        build = lindblad.liouvillian
-        junk = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        monkeypatch.setattr(lindblad, "liouvillian",
-                            lambda h, c: build(h, c) + 1e-3 * junk)
+    def test_non_hermitian_hamiltonian_fails_the_dense_references(self):
+        # conj(K) stands in for the transposes: without the check, this h
+        # gave a Hermitian state of trace 1.11 at t = 1
+        h = np.diag([1.0, -1.0]).astype(complex)
+        h[0, 1] = 0.3
         with pytest.raises(SolverError, match="generator"):
-            propagate(random_hermitian(rng, 4), None, [np.eye(4) / 4], 1.0)
+            expm_oracle(h, None, basis_density("u"), 1.0)
+        with pytest.raises(SolverError, match="generator"):
+            evolve(h, None, basis_density("u"), 1.0)
+
+    def test_non_unitary_basis_is_rejected(self, rng):
+        basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        basis[:, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            CollapseSet((), (), (), np.empty(0), basis)
+        with pytest.raises(ValueError, match="not unitary"):
+            CollapseSet((), (), (), np.empty(0), np.eye(4)[:, :3])
+
+    def test_basis_of_another_dimension_is_rejected(self, rng):
+        with pytest.raises(ValueError, match="collapse basis"):
+            propagate(random_hermitian(rng, 4), exceptional_point_setup()[1],
+                      [np.eye(4) / 4], 1.0)
 
     def test_non_hermitian_initial_state_is_rejected(self, rng):
         rho = random_density(rng, 4)
@@ -230,10 +268,11 @@ class TestPropagate:
         rho0s = [basis_density(s) for s in labels]
         states = propagate(h, collapse, rho0s, t_end, 3)
         assert states.shape == (cfg.dim, 3, cfg.dim, cfg.dim)
-        for rho0, row in zip(rho0s, states):
-            for t, rho in zip([0.5 * t_end, t_end], row[1:]):
-                for reference in (expm_oracle, eigenvector_reference):
-                    assert np.abs(rho - reference(h, collapse, rho0, t)).max() <= 1e-10
+        for k, t in ((1, 0.5 * t_end), (2, t_end)):
+            for reference in (expm_oracle, eigenvector_reference):
+                assert np.abs(states[:, k] - reference(h, collapse, rho0s, t)).max() <= 1e-10
+        for row in states:
+            for rho in row[1:]:
                 assert abs(np.trace(rho) - 1.0) <= 1e-8
                 assert np.abs(rho - rho.conj().T).max() <= 1e-8
                 assert np.linalg.eigvalsh(rho).min() >= -1e-9
@@ -253,6 +292,29 @@ class TestPropagate:
         for k, t in ((1, 0.5), (6, 3.0), (40, 20.0)):
             np.testing.assert_allclose(states[k], expm_oracle(h, collapse, rho0, t),
                                        rtol=0, atol=1e-14)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1),
+           dephasing=st.booleans(), t_end=st.floats(0.1, 2.0))
+    def test_any_rate_table_matches_the_oracle(self, d, seed, dephasing, t_end):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, d)
+        collapse = random_rate_table(rng, d, dephasing)
+        rho0s = np.array([random_density(rng, d) for _ in range(3)])
+        states = propagate(h, collapse, rho0s, t_end, 3)
+        for k, t in ((1, 0.5 * t_end), (2, t_end)):
+            assert np.abs(states[:, k] - expm_oracle(h, collapse, rho0s, t)).max() <= 1e-12
+
+    def test_run_path_forms_no_dense_operator(self, monkeypatch):
+        # the dense L and the dyads are the references' route only, so
+        # `expm_oracle` shares no generator code with what it checks
+        def off_run_path(*args):
+            raise AssertionError("dense route called on the run path")
+        monkeypatch.setattr(lindblad, "liouvillian", off_run_path)
+        monkeypatch.setattr(CollapseSet, "matrices", property(off_run_path))
+        for row, gradient in ((HIGH_ROW, 1.0), (LOW_ROW, 0.1441), (TOFFOLI_ROW, 1.0)):
+            point = evaluate_point(row, gradient, NoiseConfig(), Thresholds())
+            assert len(point.verdicts) == row.config(gradient).dim
 
     def test_time_zero_returns_initial_states(self, rng):
         h = random_hermitian(rng, 4)
@@ -288,6 +350,16 @@ class TestExpmOracle:
         h = random_hermitian(rng, 4)
         np.testing.assert_allclose(expm_oracle(h, None, rho, 0.0), rho,
                                    atol=1e-14)
+
+    def test_stack_matches_single_states(self, rng):
+        h, collapse, cfg = random_noisy_setup(rng, "cnot")
+        rho0s = np.array([random_density(rng, cfg.dim) for _ in range(3)])
+        stacked = expm_oracle(h, collapse, rho0s, 0.8)
+        assert stacked.shape == rho0s.shape
+        for rho0, rho in zip(rho0s, stacked):
+            single = expm_oracle(h, collapse, rho0, 0.8)
+            assert single.shape == rho0.shape
+            np.testing.assert_allclose(rho, single, rtol=0, atol=1e-15)
 
     def test_rejects_callable_hamiltonian(self):
         with pytest.raises(ValueError):
