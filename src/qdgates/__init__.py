@@ -32,7 +32,6 @@ from .noise import (
     CollapseSet,
     NoiseConfig,
     build_collapse_set,
-    dephasing_operator,
     hyperfine_rate_down,
     hyperfine_rate_up,
     phonon_rate,

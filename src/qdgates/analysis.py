@@ -329,8 +329,10 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
 
 
 def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
-    """Diagonal static Zeeman energy of every computational basis state."""
-    return device._spin_hamiltonian(cfg, exchange=False).diagonal().real.copy()
+    """Diagonal static Zeeman energy of every computational basis state:
+    sum_q s e_q (+1 up, -1 down), in qubit order as `device._spin_hamiltonian`."""
+    signs = np.where(up_mask(cfg.n_qubits), 1.0, -1.0)
+    return sum(cfg.zeeman_sign * e * signs[:, q] for q, e in enumerate(cfg.zeeman_energies))
 
 
 def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,

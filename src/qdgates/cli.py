@@ -21,6 +21,7 @@ compatibility and ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -223,6 +224,7 @@ def run(spec: RunSpec, out_dir: Path) -> list:
     return outputs
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdgates",

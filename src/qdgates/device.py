@@ -167,18 +167,16 @@ def toffoli_config(b_left: float, gradient: float, *, j12: float, j23: float,
                         exchange=(j12, j23), g=g, drive_frequency=drive_frequency)
 
 
-def _spin_hamiltonian(cfg: DeviceConfig, shift: float = 0.0, *,
-                      exchange: bool = True) -> np.ndarray:
+def _spin_hamiltonian(cfg: DeviceConfig, shift: float = 0.0) -> np.ndarray:
     """Exchange chain plus sum_q (s*e_q + shift) sigma_z^q.
 
     s is the chain's Zeeman sign and e_q the static Zeeman energy of qubit
     q.  Every frame is built on this one term: shift 0 for the drive-free
-    and lab-frame Hamiltonians, omega/2 in the rotating frame.  With
-    `exchange=False` only the Zeeman part is built.
+    and lab-frame Hamiltonians, omega/2 in the rotating frame.
     """
     n = cfg.n_qubits
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for bond, j in enumerate(cfg.exchange if exchange else ()):
+    for bond, j in enumerate(cfg.exchange):
         for axis in "xyz":
             h += j * (embed_pauli(axis, bond, n) @ embed_pauli(axis, bond + 1, n))
     s = cfg.zeeman_sign

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import sigma_z_string
+
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_SAMPLES = 2000
@@ -165,7 +167,7 @@ def _skew(a: np.ndarray) -> float:
 
 def _generator(h: np.ndarray, collapse) -> tuple:
     """(G, V): L on the real coordinates of V^+ rho V, with V the collapse
-    set's basis (the identity for None).
+    set's basis (the identity for None; d must be 2^n either way).
 
     In V, L is -i K' (x) I + i I (x) conj(K') + gamma_phi Z' (x) conj(Z'),
     K' = V^+ H V - (i/2)(diag Gamma + gamma_phi Z'^+ Z'), Z' = V^+ sigma_z V
@@ -174,27 +176,24 @@ def _generator(h: np.ndarray, collapse) -> tuple:
     H is not Hermitian to HERMITIZATION_TOL of G's largest entry.
     """
     d = h.shape[0]
-    # transfer[to, from] sums the rates of the relaxation rows from -> to
     if collapse is None:
-        v, gamma_phi = np.eye(d), 0.0
-        transfer = np.zeros((d, d))
+        v, src, dst, rate = np.eye(d), np.empty(0, int), np.empty(0, int), np.empty(0)
     else:
-        v = collapse.basis
+        v, src, dst, rate = collapse.basis, collapse.src, collapse.dst, collapse.rate
         if v.shape != h.shape:
             raise ValueError(f"collapse basis {v.shape} does not match H {h.shape}")
-        relaxation, src, dst, dephasing = collapse.rows
-        gamma_phi = collapse.rate[dephasing].sum()
-        transfer = np.bincount(dst * d + src, collapse.rate[relaxation], d * d).reshape(d, d)
+    relaxation = src >= 0
+    gamma_phi = rate[~relaxation].sum()
+    # transfer[to, from] sums the rates of the relaxation rows from -> to
+    transfer = np.bincount(dst[relaxation] * d + src[relaxation], rate[relaxation],
+                           d * d).reshape(d, d)
     vh = v.conj().T
     k = vh @ h @ v
     k[np.diag_indices(d)] -= 0.5j * transfer.sum(axis=0)
+    z = vh @ sigma_z_string(d) @ v
+    k -= 0.5j * gamma_phi * (z.conj().T @ z)
     # m[i, a, j, b] is the complex part's entry at row (i, a), column (j, b)
-    if gamma_phi:
-        z = vh @ collapse.sigma_z @ v
-        k -= 0.5j * gamma_phi * (z.conj().T @ z)
-        m = gamma_phi * z[:, None, :, None] * z.conj()[None, :, None, :]
-    else:
-        m = np.zeros((d, d, d, d), dtype=complex)
+    m = gamma_phi * z[:, None, :, None] * z.conj()[None, :, None, :]
     levels = np.arange(d)
     m[:, levels, :, levels] += -1j * k            # -i K' (x) I
     m[levels, :, levels, :] += 1j * k.conj()      # i I (x) conj(K')

@@ -19,9 +19,10 @@ ones that degrade fastest.  An optional collective sigma_z^(x)n dephasing
 channel with time constant t2_star completes the set.
 
 The noise model is one rate table, `CollapseSet`, with a row per operator
-and the static eigenvectors as its basis; it is the generator that
-`lindblad.propagate` builds from.  The operators themselves are a derived
-view for the dense references.  The rate functions take scalars or arrays.
+(channel, sign, from and to level, rate) and the static eigenvectors as its
+basis; it is the generator that `lindblad.propagate` builds from.  The
+operators themselves are a derived view for the dense references.  The
+rate functions take scalars or arrays.
 
 upsilon and phonon_p are free constants of the model.  The shipped
 defaults were calibrated once against reference operating-range targets
@@ -30,9 +31,8 @@ bound of the low-field range) and then frozen; see calibration module.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -121,13 +121,6 @@ def sigma_z_string(dim: int) -> np.ndarray:
     return op
 
 
-def dephasing_operator(n_qubits: int, t2_star: float) -> np.ndarray:
-    """Collective sqrt(1/(2 t2_star)) sigma_z x ... x sigma_z operator."""
-    if n_qubits not in (2, 3):
-        raise ValueError(f"dephasing operator defined for 2 or 3 qubits, got {n_qubits}")
-    return math.sqrt(1.0 / (2.0 * t2_star)) * sigma_z_string(2 ** n_qubits)
-
-
 @cache
 def _level_pairs(dim: int) -> tuple:
     """Eigenlevel pairs j < k, pair by pair, as read-only (lo, hi) arrays."""
@@ -139,48 +132,40 @@ def _level_pairs(dim: int) -> tuple:
 
 @cache
 def _row_layout(dim: int, channels: tuple, dephasing: bool) -> tuple:
-    """(channel, sign, transition) columns of a rate table: pair by pair, the
-    '+' (j -> k) and '-' (k -> j) rows of each channel, then dephasing."""
+    """(channel, sign, src, dst) columns of a rate table: pair by pair, the
+    '+' (j -> k) and '-' (k -> j) rows of each channel, then dephasing (-1)."""
     lo, hi = _level_pairs(dim)
     channel = tuple(c for c in channels for _ in "+-") * len(lo)
     sign = ("+", "-") * len(channels) * len(lo)
-    transition = tuple(t for j, k in zip(lo.tolist(), hi.tolist())
-                       for t in ((j, k), (k, j)) * len(channels))
+    pairs = np.stack((lo, hi), axis=1)
+    src = np.tile(pairs, len(channels)).ravel()
+    dst = np.tile(pairs[:, ::-1], len(channels)).ravel()
     if dephasing:
-        channel, sign, transition = channel + ("dephasing",), sign + ("",), transition + (None,)
-    return channel, sign, transition
-
-
-@lru_cache(maxsize=64)
-def _row_kinds(transition: tuple) -> tuple:
-    """(relaxation rows, their from and to levels, dephasing rows) of a
-    transition column, as read-only int arrays."""
-    relaxation = np.array([t is not None for t in transition], dtype=bool)
-    src, dst = np.array([t for t in transition if t is not None],
-                        dtype=np.intp).reshape(-1, 2).T
-    out = (np.flatnonzero(relaxation), src, dst, np.flatnonzero(~relaxation))
-    for a in out:
-        a.setflags(write=False)
-    return out
+        channel, sign = channel + ("dephasing",), sign + ("",)
+        src, dst = np.append(src, -1), np.append(dst, -1)
+    src.setflags(write=False)
+    dst.setflags(write=False)
+    return channel, sign, src, dst
 
 
 @dataclass(frozen=True)
 class CollapseSet:
     """The noise model as a rate table with one row per Lindblad operator.
 
-    Row i is (channel[i], sign[i], transition[i], rate[i]): channel is
+    Row i is (channel[i], sign[i], src[i], dst[i], rate[i]): channel is
     "hyperfine", "phonon" or "dephasing"; sign is "+" or "-" for the
-    relaxation channels ("" for dephasing); transition is (from_level,
-    to_level), column indices of the unitary `basis` V (None for
-    dephasing).  In V a relaxation row moves population between two levels
-    and damps coherences; `lindblad.propagate` builds its generator from
-    the rows and forms no operator.  `matrices` is a derived view of the
-    operators for the dense references: sqrt(rate) |v_to><v_from|, and
-    sqrt(rate) sigma_z^(x)n for dephasing.
+    relaxation channels ("" for dephasing); src and dst are the from and to
+    levels, column indices of the unitary `basis` V, and -1 on a dephasing
+    row.  In V a relaxation row moves population between two levels and
+    damps coherences; `lindblad.propagate` builds its generator from the
+    rows and forms no operator.  `matrices` derives the operators for the
+    dense references: sqrt(rate) |v_dst><v_src|, and sqrt(rate)
+    sigma_z^(x)n for dephasing.
     """
     channel: tuple
     sign: tuple
-    transition: tuple
+    src: np.ndarray
+    dst: np.ndarray
     rate: np.ndarray
     basis: np.ndarray
 
@@ -197,25 +182,15 @@ class CollapseSet:
         return sum(1 for c, s in zip(self.channel, self.sign)
                    if c == channel and (sign is None or s == sign))
 
-    @property
-    def rows(self) -> tuple:
-        """(relaxation rows, their from and to levels, dephasing rows)."""
-        return _row_kinds(self.transition)
-
-    @property
-    def sigma_z(self) -> np.ndarray:
-        """The dephasing rows' operator at unit rate, read-only."""
-        return sigma_z_string(len(self.basis))
-
     @cached_property
     def matrices(self) -> np.ndarray:
         """The rows' operators, (m, d, d), read-only."""
-        relaxation, src, dst, dephasing = self.rows
+        relaxation = self.src >= 0
         vectors = self.basis.T
         out = np.empty((len(self), len(vectors), len(vectors)), dtype=complex)
-        out[relaxation] = vectors[dst][:, :, None] * vectors[src].conj()[:, None, :]
-        if len(dephasing):
-            out[dephasing] = self.sigma_z
+        out[relaxation] = (vectors[self.dst[relaxation]][:, :, None]
+                           * vectors[self.src[relaxation]].conj()[:, None, :])
+        out[~relaxation] = sigma_z_string(len(vectors))
         out *= np.sqrt(self.rate)[:, None, None]
         out.setflags(write=False)
         return out

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qdgates.cli import main
+from qdgates.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -317,6 +317,18 @@ class TestWorkerCount:
 
 
 class TestCliErrors:
+    def test_parser_is_built_once(self, capsys):
+        # every in-process `main` call shares one parser; a parse, even a
+        # failed one, leaves nothing behind for the next
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["ranges", "--config", "a.cfg", "--out", "o"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate"])
+        assert "--config" in capsys.readouterr().err
+        second = build_parser().parse_args(["sweep", "--config", "b.cfg"])
+        assert (first.command, first.config, first.out) == ("ranges", "a.cfg", "o")
+        assert (second.command, second.config, second.out) == ("sweep", "b.cfg", None)
+
     def test_unparseable_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode = simulate\ndevice.bogus = 1\n", encoding="utf-8")

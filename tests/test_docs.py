@@ -1,8 +1,15 @@
-"""The README's code examples run against the current package."""
+"""The README's code examples run against the current package, and the
+names it cites exist."""
 import contextlib
+import functools
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
+
+import qdgates
+from qdgates import config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +29,32 @@ def test_library_use_example_runs():
         exec(compile(readme_block("Library use"), "README.md", "exec"), {})
     p_up = float(out.getvalue())
     assert 0.0 <= p_up <= 1.0
+
+
+def test_readme_names_resolve():
+    # a backticked dotted name that starts with a package module or an
+    # exported class must resolve by getattr, unless it is a config key;
+    # one that starts with any other config section must be a config key
+    modules = {m.name for m in pkgutil.iter_modules(qdgates.__path__)}
+    classes = {name for name in dir(qdgates) if isinstance(getattr(qdgates, name), type)}
+    sections = {key.split(".")[0] for key in config._KEYS}
+    text = (ROOT / "README.md").read_text()
+    attributes, keys, missing = set(), set(), []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text))):
+        head, *rest = name.split(".")
+        if name in config._KEYS:
+            keys.add(name)
+        elif head in modules or head in classes:
+            obj = (importlib.import_module(f"qdgates.{head}") if head in modules
+                   else getattr(qdgates, head))
+            try:
+                functools.reduce(getattr, rest, obj)
+                attributes.add(name)
+            except AttributeError:
+                missing.append(name)
+        elif head in sections:
+            missing.append(name)
+    assert missing == []
+    assert {"CollapseSet.matrices", "analysis.find_boundary",
+            "device._spin_hamiltonian"} <= attributes
+    assert "noise.phonon_e_mode" in keys

@@ -36,7 +36,6 @@ from qdgates.noise import (
     CollapseSet,
     NoiseConfig,
     build_collapse_set,
-    dephasing_operator,
 )
 from qdgates.operators import SIGMA_X, SIGMA_Z, basis_density, index_to_label, kron
 
@@ -61,7 +60,8 @@ def exceptional_point_setup() -> tuple:
     """Driven decaying two-level system at Omega = gamma / 4 (gamma = 1),
     where two eigenvalues of L coalesce: one decay row 0 -> 1 at rate 1 in
     the computational basis."""
-    decay = CollapseSet(("hyperfine",), ("-",), ((0, 1),), np.array([1.0]), np.eye(2))
+    decay = CollapseSet(("hyperfine",), ("-",), np.array([0]), np.array([1]), np.array([1.0]),
+                        np.eye(2))
     return 0.5 * 0.25 * SIGMA_X, decay
 
 
@@ -71,13 +71,14 @@ def random_rate_table(rng, d: int, dephasing: bool) -> CollapseSet:
     of order one, and an optional dephasing row."""
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     basis = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    pairs = tuple((j, k) for j in range(d) for k in range(d) if j != k)
-    rate = rng.choice([0.0, 0.1 * RATE_FLOOR, 1.0], size=len(pairs)) * rng.uniform(size=len(pairs))
-    channel, sign = ("hyperfine",) * len(pairs), ("+",) * len(pairs)
+    src, dst = np.nonzero(~np.eye(d, dtype=bool))
+    rate = rng.choice([0.0, 0.1 * RATE_FLOOR, 1.0], size=len(src)) * rng.uniform(size=len(src))
+    channel, sign = ("hyperfine",) * len(src), ("+",) * len(src)
     if dephasing:
-        channel, sign, pairs = channel + ("dephasing",), sign + ("",), pairs + (None,)
+        channel, sign = channel + ("dephasing",), sign + ("",)
+        src, dst = np.append(src, -1), np.append(dst, -1)
         rate = np.append(rate, rng.uniform(0.1, 1.0))
-    return CollapseSet(channel, sign, pairs, rate, basis)
+    return CollapseSet(channel, sign, src, dst, rate, basis)
 
 
 def small_norm_generator() -> np.ndarray:
@@ -230,9 +231,10 @@ class TestRealCoordinates:
         basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         basis[:, 0] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="not unitary"):
-            CollapseSet((), (), (), np.empty(0), basis)
+            CollapseSet((), (), np.empty(0, int), np.empty(0, int), np.empty(0), basis)
         with pytest.raises(ValueError, match="not unitary"):
-            CollapseSet((), (), (), np.empty(0), np.eye(4)[:, :3])
+            CollapseSet((), (), np.empty(0, int), np.empty(0, int), np.empty(0),
+                        np.eye(4)[:, :3])
 
     def test_basis_of_another_dimension_is_rejected(self, rng):
         with pytest.raises(ValueError, match="collapse basis"):
@@ -395,7 +397,7 @@ class TestEvolve:
         # coherence decays as exp(-t / t2_star); the exponent is fixed by
         # the superoperator oracle, which the trajectory must match.
         t2 = 40.0
-        c = dephasing_operator(2, t2)
+        c = math.sqrt(0.5 / t2) * kron(SIGMA_Z, SIGMA_Z)
         plus = np.full((2, 2), 0.5, dtype=complex)
         rho0 = kron(plus, basis_density("u"))
         t_end = 30.0

@@ -8,7 +8,6 @@ from qdgates.device import cnot_config, static_eigensystem, toffoli_config
 from qdgates.noise import (
     NoiseConfig,
     build_collapse_set,
-    dephasing_operator,
     hyperfine_rate_down,
     hyperfine_rate_up,
     phonon_rate,
@@ -111,30 +110,6 @@ class TestDetailedBalanceProperty:
             assert abs(ph - boltzmann) <= 1e-12 * boltzmann
 
 
-class TestDephasingOperator:
-    def test_two_qubit_matrix(self):
-        t2 = 1519.266
-        op = dephasing_operator(2, t2)
-        np.testing.assert_allclose(
-            op, math.sqrt(0.5 / t2) * np.diag([1, -1, -1, 1]).astype(complex),
-            atol=1e-15)
-
-    def test_three_qubit_parity_signs(self):
-        op = dephasing_operator(3, 2.0)
-        diag = np.diagonal(op).real
-        signs = [1, -1, -1, 1, -1, 1, 1, -1]  # parity of the bit pattern
-        np.testing.assert_allclose(diag, 0.5 * np.array(signs), atol=1e-15)
-
-    def test_square_is_scaled_identity(self):
-        t2 = 7.0
-        op = dephasing_operator(2, t2)
-        np.testing.assert_allclose(op @ op, np.eye(4) / (2 * t2), atol=1e-15)
-
-    def test_unsupported_count(self):
-        with pytest.raises(ValueError):
-            dephasing_operator(4, 1.0)
-
-
 class TestCollapseSet:
     def _eig(self, n):
         if n == 2:
@@ -167,6 +142,40 @@ class TestCollapseSet:
             for sign in ("+", "-"):
                 assert cs.count(channel, sign) == 28
 
+    def dephasing_row(self, n, t2):
+        noise = NoiseConfig(hyperfine=False, phonon=False, t2_star=t2)
+        cs = build_collapse_set(self._eig(n), noise)
+        assert cs.channel == ("dephasing",)
+        return cs.matrices[0]
+
+    def test_two_qubit_dephasing_row(self):
+        t2 = 1519.266
+        np.testing.assert_allclose(
+            self.dephasing_row(2, t2),
+            math.sqrt(0.5 / t2) * np.diag([1, -1, -1, 1]).astype(complex), atol=1e-15)
+
+    def test_three_qubit_dephasing_parity_signs(self):
+        diag = np.diagonal(self.dephasing_row(3, 2.0)).real
+        signs = [1, -1, -1, 1, -1, 1, 1, -1]  # parity of the bit pattern
+        np.testing.assert_allclose(diag, 0.5 * np.array(signs), atol=1e-15)
+
+    def test_dephasing_row_squares_to_scaled_identity(self):
+        t2 = 7.0
+        op = self.dephasing_row(2, t2)
+        np.testing.assert_allclose(op @ op, np.eye(4) / (2 * t2), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_level_columns(self, n):
+        cs = build_collapse_set(self._eig(n), NoiseConfig())
+        for levels in (cs.src, cs.dst):
+            assert levels.dtype.kind == "i" and levels.shape == (len(cs),)
+            assert not levels.flags.writeable
+            np.testing.assert_array_equal(levels == -1, np.array(cs.channel) == "dephasing")
+            assert levels.min() == -1
+        plus = np.array(cs.sign) == "+"
+        assert plus.sum() == 2 * (2 ** n) * (2 ** n - 1) // 2
+        assert np.all(cs.dst[plus] > cs.src[plus])
+
     def test_rank_one_and_frobenius_norm(self):
         cs = build_collapse_set(self._eig(2), NoiseConfig())
         for channel, rate, matrix in zip(cs.channel, cs.rate, cs.matrices):
@@ -187,10 +196,9 @@ class TestCollapseSet:
         # eigenlevels; its reverse carries the thermal factor
         eig = self._eig(2)
         cs = build_collapse_set(eig, NoiseConfig())
-        for channel, sign, transition in zip(cs.channel, cs.sign, cs.transition):
+        for channel, sign, src, dst in zip(cs.channel, cs.sign, cs.src, cs.dst):
             if channel == "dephasing":
                 continue
-            src, dst = transition
             if sign == "+":
                 assert eig.energies[dst] > eig.energies[src]
             else:
@@ -200,10 +208,10 @@ class TestCollapseSet:
         eig = self._eig(2)
         noise = NoiseConfig()
         cs = build_collapse_set(eig, noise)
-        rows = list(zip(cs.channel, cs.sign, cs.transition, cs.rate))
-        plus = {transition: rate for channel, sign, transition, rate in rows
+        rows = list(zip(cs.channel, cs.sign, zip(cs.src, cs.dst), cs.rate))
+        plus = {levels: rate for channel, sign, levels, rate in rows
                 if channel == "phonon" and sign == "+"}
-        minus = {transition: rate for channel, sign, transition, rate in rows
+        minus = {levels: rate for channel, sign, levels, rate in rows
                  if channel == "phonon" and sign == "-"}
         for (j, k), rate in plus.items():
             gap = eig.energies[k] - eig.energies[j]
@@ -262,7 +270,7 @@ class TestRateTableProperties:
         noise = NoiseConfig(t_k=t_k, delta_e_nuc=delta_e_nuc)
         cs = build_collapse_set(eig, noise)
         d = cfg.dim
-        rows = list(zip(cs.channel, cs.sign, cs.transition, cs.rate))
+        rows = list(zip(cs.channel, cs.sign, zip(cs.src, cs.dst), cs.rate))
         for channel in ("hyperfine", "phonon"):
             for sign in ("+", "-"):
                 assert cs.count(channel, sign) == d * (d - 1) // 2
@@ -276,8 +284,8 @@ class TestRateTableProperties:
                 if rate > 0 and reverse > 0:
                     assert reverse / rate == pytest.approx(math.exp(-gap / t_k),
                                                            rel=1e-12)
-        for channel, (j, k), rate, matrix in zip(cs.channel[:-1], cs.transition[:-1],
-                                                 cs.rate, cs.matrices):
+        for channel, j, k, rate, matrix in zip(cs.channel[:-1], cs.src[:-1], cs.dst[:-1],
+                                               cs.rate, cs.matrices):
             # rank 1 with norm sqrt(rate), mapping w_from to sqrt(rate) w_to
             assert channel != "dephasing"
             singulars = np.linalg.svd(matrix, compute_uv=False)
