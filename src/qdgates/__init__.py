@@ -48,7 +48,6 @@ from .lindblad import (
 from .analysis import (
     Boundary,
     FlipTimeError,
-    GateVerdict,
     SweepResult,
     SweepTemplate,
     Thresholds,

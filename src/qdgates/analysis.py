@@ -12,28 +12,30 @@ Newton iteration on the closed-form dP_up/dt pins it to roundoff.  It is
 reused for every noisy initial state, so that decoherence is never
 conflated with timing drift.  One `propagate(h, collapse, rho0s, t_flip)`
 call, a single exact expm(L t_flip) step, gives all noisy states at the
-flip time, and one `populations_up` call their P_up table; it raises
-rather than clips.
+flip time, and one `populations_up` call their (d, n) P_up table; it
+raises rather than clips.  That table is a point's only verdict data:
+`classify` turns it into margins against the truth table `expected_up`.
 `run_sweep` is the one entry point for a gradient grid: it evaluates every
 point, marks the longest passing run as the operating range and describes
 each end by one `Boundary` (gradient, open flag, limiting state and qubit);
 with `refine=True`, as in `ranges` mode, it refines both closed ends through
-the same code.  Each verdict has a margin, positive exactly when it passes;
-every pass/fail boundary, here and in the calibration fits, is a root of
-it found by the one ITP root finder `find_boundary`.
+the same code.  A point's margin is positive exactly when it passes; every
+pass/fail boundary, here and in the calibration fits, is a root of it found
+by the one ITP root finder `find_boundary`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import device
-from .device import DeviceConfig, CNOT
+from .device import DeviceConfig, CNOT, GATES
 from .noise import NoiseConfig, build_collapse_set
 from .lindblad import SolverError, propagate
-from .operators import basis_density, index_to_label, n_qubits_of, up_mask
+from .operators import index_to_label, label_to_index, n_qubits_of, up_mask
 
 FLIP_WINDOW_FACTOR = 4.0
 FLIP_SAMPLES = 2000        # evenly spaced times of the flip-time scan
@@ -55,17 +57,6 @@ class Thresholds:
             raise ValueError("thresholds must satisfy 0 < t_down < t_up < 1")
 
 
-@dataclass(frozen=True)
-class GateVerdict:
-    """Thresholded outcome for one initial basis state."""
-    initial_state: str
-    expected: str
-    p_up: tuple                  # per-qubit P_up at the flip time
-    passed: bool
-    failing_qubits: tuple        # qubit indices, empty when passed
-    margin: float                # least per-qubit margin, > 0 exactly when passed
-
-
 def populations_up(states: np.ndarray) -> np.ndarray:
     """Spin-up probability of every qubit: (..., d, d) states -> (..., n_qubits).
 
@@ -82,8 +73,8 @@ def populations_up(states: np.ndarray) -> np.ndarray:
 def expected_final(gate: str, initial: str) -> str:
     """Truth-table output label for one initial basis label."""
     n = 2 if gate == CNOT else 3
-    if len(initial) != n or any(ch not in "ud" for ch in initial):
-        raise ValueError(f"initial state {initial!r} does not match {gate}")
+    if gate not in GATES or len(initial) != n or any(ch not in "ud" for ch in initial):
+        raise ValueError(f"initial state {initial!r} does not match gate {gate!r}")
     controls = (0,) if gate == CNOT else (0, 2)
     target = 1
     bits = list(initial)
@@ -92,29 +83,32 @@ def expected_final(gate: str, initial: str) -> str:
     return "".join(bits)
 
 
-def _thresholded(p_up, expected: str, thresholds: Thresholds) -> dict:
-    """`passed`, `failing_qubits` and least `margin` of one state's P_up row.
-
-    A qubit's margin is P_up - t_up if it should be up, else t_down - P_up:
-    exact at zero, so positive exactly when the strict threshold test passes.
-    """
-    margins = [p - thresholds.t_up if want == "u" else thresholds.t_down - p
-               for p, want in zip(p_up, expected, strict=True)]
-    failing = tuple(q for q, m in enumerate(margins) if not m > 0.0)
-    return dict(passed=not failing, failing_qubits=failing, margin=min(margins))
-
-
-def classify(p_up, gate: str, initial: str, thresholds: Thresholds) -> GateVerdict:
-    """Verdict from one state's per-qubit P_up at the flip time (a `populations_up` row)."""
-    expected = expected_final(gate, initial)
-    p_up = tuple(map(float, p_up))
-    return GateVerdict(initial_state=initial, expected=expected, p_up=p_up,
-                       **_thresholded(p_up, expected, thresholds))
+@functools.cache
+def expected_up(gate: str) -> np.ndarray:
+    """Read-only (d, n) truth table: [k, q] is True when qubit q of
+    `expected_final` of basis state k is up."""
+    n = 2 if gate == CNOT else 3
+    finals = [label_to_index(expected_final(gate, index_to_label(k, n))) for k in range(1 << n)]
+    table = up_mask(n)[finals]
+    table.setflags(write=False)
+    return table
 
 
-def reclassify(verdict: GateVerdict, thresholds: Thresholds) -> GateVerdict:
-    """Re-threshold a stored verdict without re-running the dynamics."""
-    return replace(verdict, **_thresholded(verdict.p_up, verdict.expected, thresholds))
+def classify(p_up: np.ndarray, gate: str, thresholds: Thresholds) -> np.ndarray:
+    """Read-only margins of a (d, n) P_up table, rows in basis-index order:
+    P_up - t_up where `expected_up`, else t_down - P_up.  Exact at zero, so
+    a margin is positive exactly when the strict threshold test passes."""
+    want_up = expected_up(gate)
+    if np.shape(p_up) != want_up.shape:
+        raise ValueError(f"P_up table {np.shape(p_up)} does not match {gate} {want_up.shape}")
+    margins = np.where(want_up, p_up - thresholds.t_up, thresholds.t_down - p_up)
+    margins.setflags(write=False)
+    return margins
+
+
+def reclassify(point: PointResult, thresholds: Thresholds) -> PointResult:
+    """Re-threshold a point's stored P_up table without re-running the dynamics."""
+    return replace(point, margins=classify(point.p_up, point.gate, thresholds))
 
 
 def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
@@ -239,28 +233,32 @@ class SweepTemplate:
                                      b_ac=self.b_ac, g=self.g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointResult:
-    """All-initial-state outcome at one gradient point."""
+    """One gradient point's read-only (d, n) P_up table and its `classify`
+    margins, one row per initial basis state in index order; the verdicts
+    are views of `margins`."""
     gradient: float
     t_flip: float
-    verdicts: tuple
+    gate: str
+    p_up: np.ndarray
+    margins: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return bool((self.margins > 0.0).all())
 
     @property
     def margin(self) -> float:
-        """Least verdict margin: positive exactly when the point passes."""
-        return min(v.margin for v in self.verdicts)
+        """Least margin: positive exactly when the point passes."""
+        return float(self.margins.min())
 
     def first_failure(self):
-        """(initial_state, qubit index) of the first failing verdict, or None."""
-        for v in self.verdicts:
-            if not v.passed:
-                return v.initial_state, v.failing_qubits[0]
-        return None
+        """(initial_state, qubit index) of the first failing cell in row-major order, or None."""
+        failing = np.argwhere(~(self.margins > 0.0))
+        if not len(failing):
+            return None
+        return index_to_label(int(failing[0, 0]), self.margins.shape[1]), int(failing[0, 1])
 
 
 @dataclass(frozen=True)
@@ -318,14 +316,14 @@ def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
     try:
         cfg, h, collapse = point_model(template.config(gradient), noise)
         t_flip = flip_time(cfg, h_rwa=h)
-        labels = [index_to_label(idx, cfg.n_qubits) for idx in range(cfg.dim)]
-        finals = propagate(h, collapse, [basis_density(s) for s in labels], t_flip)[:, -1]
+        basis = np.eye(cfg.dim)
+        finals = propagate(h, collapse, np.einsum("ki,kj->kij", basis, basis), t_flip)[:, -1]
         p_up = populations_up(finals)
     except (ValueError, FlipTimeError, SolverError) as exc:
         raise type(exc)(f"gradient {gradient} T: {exc}") from exc
-    verdicts = tuple(classify(row, cfg.gate, initial, thresholds)
-                     for row, initial in zip(p_up, labels))
-    return PointResult(gradient=float(gradient), t_flip=t_flip, verdicts=verdicts)
+    p_up.setflags(write=False)
+    return PointResult(gradient=float(gradient), t_flip=t_flip, gate=cfg.gate, p_up=p_up,
+                       margins=classify(p_up, cfg.gate, thresholds))
 
 
 def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:

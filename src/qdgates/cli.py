@@ -33,7 +33,7 @@ from .config import AUTO, ConfigError, RunSpec, parse_config, sweep_axis
 from .device import CNOT, DeviceConfig
 from .lindblad import propagate
 from .noise import NoiseConfig
-from .operators import basis_density
+from .operators import basis_density, index_to_label
 
 
 def _fmt(x: float) -> str:
@@ -106,15 +106,12 @@ def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("gradient_T,initial_state,qubit_role,P_up,verdict\n")
         for point in result.points:
-            for verdict in point.verdicts:
-                for q, role in enumerate(roles):
-                    fh.write(",".join([
-                        _fmt(point.gradient),
-                        verdict.initial_state,
-                        role,
-                        _fmt(verdict.p_up[q]),
-                        "pass" if verdict.passed else "fail",
-                    ]) + "\n")
+            passed = (point.margins > 0.0).all(axis=1)
+            for k, (p_up, ok) in enumerate(zip(point.p_up, passed)):
+                initial = index_to_label(k, len(roles))
+                for role, p in zip(roles, p_up):
+                    fh.write(f"{_fmt(point.gradient)},{initial},{role},{_fmt(p)},"
+                             f"{'pass' if ok else 'fail'}\n")
 
 
 def run_sweep_mode(spec: RunSpec, out_dir: Path) -> list:

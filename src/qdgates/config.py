@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import Thresholds
 from .device import AUTO, CNOT, GATES, G_DEFAULT
 from .lindblad import DEFAULT_SAMPLES
@@ -292,8 +294,6 @@ def render_config(spec: RunSpec) -> str:
 
 def sweep_axis(spec: RunSpec):
     """Gradient grid for sweep/ranges modes; default 60 points per decade."""
-    import numpy as np
-
     points = spec.sweep_points
     if points is None:
         decades = np.log10(spec.sweep_stop / spec.sweep_start)

@@ -200,14 +200,15 @@ def test_criterion_07_calibrated_trend():
     # low-field row: the lower boundary is owned by the du state, i.e. du
     # is the last initial state to recover as the gradient grows
     def verdicts_at(gradient):
+        # initial label -> least margin over that state's qubits
         point = evaluate_point(LOW_ROW, gradient, noise, thresholds)
-        return {v.initial_state: v for v in point.verdicts}
+        return {index_to_label(k, 2): float(m) for k, m in enumerate(point.margins.min(axis=1))}
 
     def du_margin(gradient):
-        return verdicts_at(gradient)["du"].margin
+        return verdicts_at(gradient)["du"]
 
     def rest_margin(gradient):
-        return min(v.margin for s, v in verdicts_at(gradient).items() if s != "du")
+        return min(m for s, m in verdicts_at(gradient).items() if s != "du")
 
     boundaries = []
     for margin in (du_margin, rest_margin):
@@ -266,11 +267,8 @@ def test_criterion_09_monotonicity():
     # relaxing thresholds never shrinks the range (re-thresholding the
     # stored populations, no re-integration)
     relaxed = Thresholds(t_up=0.7, t_down=0.3)
-    relaxed_passing = set()
-    for i, point in enumerate(base.points):
-        verdicts = [reclassify(v, relaxed) for v in point.verdicts]
-        if all(v.passed for v in verdicts):
-            relaxed_passing.add(i)
+    relaxed_passing = {i for i, point in enumerate(base.points)
+                       if reclassify(point, relaxed).passed}
     assert base_passing <= relaxed_passing
 
     # scaling both rate constants by 10 never grows the range

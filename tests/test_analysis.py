@@ -10,15 +10,16 @@ from qdgates.analysis import (
     FLIP_SAMPLES,
     FLIP_WINDOW_FACTOR,
     FlipTimeError,
-    GateVerdict,
     PointResult,
     SweepTemplate,
     Thresholds,
     classify,
     evaluate_point,
     expected_final,
+    expected_up,
     find_boundary,
     flip_time,
+    point_model,
     populations_up,
     reclassify,
     run_sweep,
@@ -38,7 +39,8 @@ from qdgates.device import (
 )
 from qdgates.lindblad import propagate
 from qdgates.noise import NoiseConfig
-from qdgates.operators import basis_density, basis_ket, partial_trace
+from qdgates.operators import (basis_density, basis_ket, index_to_label, label_to_index,
+                               partial_trace)
 
 from conftest import partial_trace_by_summation, random_density
 
@@ -101,6 +103,13 @@ class TestExpectedFinal:
             expected_final("cnot", "uuu")
         with pytest.raises(ValueError):
             expected_final("toffoli", "ud")
+
+    def test_unknown_gate_rejected(self):
+        # no gate name but "cnot" may fall through to the Toffoli table
+        with pytest.raises(ValueError, match="gate 'CNOT'"):
+            expected_final("CNOT", "uuu")
+        with pytest.raises(ValueError, match="gate 'bogus'"):
+            expected_up("bogus")
 
 
 class TestFlipTime:
@@ -310,16 +319,47 @@ def product_state(p_up_per_qubit):
     return rho
 
 
+def truth_table_point(gate, thresholds, **cells):
+    """PointResult of the ideal truth-table P_up (1 up, 0 down), with the rows
+    named in `cells` (initial label -> P_up row) replaced."""
+    p_up = expected_up(gate).astype(float)
+    for label, row in cells.items():
+        p_up[label_to_index(label)] = row
+    return PointResult(gradient=1.0, t_flip=1.0, gate=gate, p_up=p_up,
+                       margins=classify(p_up, gate, thresholds))
+
+
 class TestClassify:
     def test_dead_zone_fails(self):
-        verdict = classify([1.0, 0.5], "cnot", "uu", Thresholds())
-        assert not verdict.passed
-        assert verdict.failing_qubits == (1,)
+        point = truth_table_point("cnot", Thresholds(), uu=[1.0, 0.5])
+        assert not point.passed
+        assert point.first_failure() == ("uu", 1)
+        assert np.flatnonzero(~(point.margins[0] > 0)).tolist() == [1]
 
     def test_truth_table_pass(self):
-        verdict = classify([0.95, 0.03], "cnot", "uu", Thresholds())
-        assert verdict.passed
-        assert verdict.expected == "ud"
+        point = truth_table_point("cnot", Thresholds(), uu=[0.95, 0.03])
+        assert point.passed
+        assert expected_final("cnot", "uu") == "ud"
+        assert expected_up("cnot")[0].tolist() == [True, False]
+
+    @pytest.mark.parametrize("gate", ["cnot", "toffoli"])
+    def test_expected_up_is_the_truth_table(self, gate):
+        n = 2 if gate == "cnot" else 3
+        table = expected_up(gate)
+        assert table.shape == (1 << n, n) and table.dtype == bool
+        for k in range(1 << n):
+            final = expected_final(gate, index_to_label(k, n))
+            assert table[k].tolist() == [ch == "u" for ch in final]
+        assert expected_up(gate) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = not table[0, 0]
+
+    def test_table_shape_must_match_the_gate(self):
+        # one state's row would broadcast against the whole truth table
+        with pytest.raises(ValueError, match="does not match"):
+            classify(np.array([0.95, 0.03]), "cnot", Thresholds())
+        with pytest.raises(ValueError, match="does not match"):
+            classify(np.zeros((4, 2)), "toffoli", Thresholds())
 
     def test_population_outside_unit_interval_raises(self):
         # a drifted state is reported, not clipped into a verdict
@@ -332,22 +372,23 @@ class TestClassify:
         cfg = resolve_drive(cnot_config(0.5, 0.5, j=0.42, b_ac=0.004))
         t_flip = flip_time(cfg)
         h = build_hamiltonian_rwa(cfg)
-        finals = propagate(h, None, [basis_density("uu"), basis_density("dd")],
-                           t_flip)[:, -1]
-        for initial, p_up in zip(("uu", "dd"), populations_up(finals)):
-            verdict = classify(p_up, "cnot", initial, Thresholds())
-            assert verdict.passed, verdict
+        labels = [index_to_label(k, 2) for k in range(4)]
+        finals = propagate(h, None, [basis_density(s) for s in labels], t_flip)[:, -1]
+        margins = classify(populations_up(finals), "cnot", Thresholds())
+        for initial in ("uu", "dd"):
+            assert (margins[label_to_index(initial)] > 0).all(), (initial, margins)
 
     def test_threshold_monotonicity(self):
         # relaxing (t_up down, t_down up) never turns a pass into a fail
         rng = np.random.default_rng(7)
         for _ in range(50):
-            p = rng.uniform(0.0, 1.0, size=2)
-            initial = rng.choice(["uu", "ud", "du", "dd"])
-            strict = classify(p, "cnot", initial, Thresholds(t_up=0.9, t_down=0.1))
+            p_up = rng.uniform(0.0, 1.0, size=(4, 2))
+            strict = PointResult(gradient=1.0, t_flip=1.0, gate="cnot", p_up=p_up,
+                                 margins=classify(p_up, "cnot",
+                                                  Thresholds(t_up=0.9, t_down=0.1)))
             relaxed = reclassify(strict, Thresholds(t_up=0.7, t_down=0.3))
-            if strict.passed:
-                assert relaxed.passed
+            strict_rows = (strict.margins > 0).all(axis=1)
+            assert (relaxed.margins > 0).all(axis=1)[strict_rows].all()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), gate=st.sampled_from(["cnot", "toffoli"]),
@@ -355,25 +396,38 @@ class TestClassify:
     def test_margin_is_positive_exactly_when_the_strict_test_passes(self, data, gate,
                                                                      t_up, t_down):
         n = 2 if gate == "cnot" else 3
+        d = 1 << n
         thresholds = Thresholds(t_up=t_up, t_down=t_down)
-        initial = "".join(data.draw(st.lists(st.sampled_from("ud"), min_size=n,
-                                             max_size=n)))
-        # cells exactly at a threshold must fail: the tests are strict
+        expected = [expected_final(gate, index_to_label(k, n)) for k in range(d)]
+        # cells exactly at a threshold must fail: the tests are strict; cells
+        # not drawn keep their truth-table value, so whole tables also pass
         cell = st.floats(0.0, 1.0) | st.sampled_from([t_up, t_down, 0.0, 1.0])
-        row = data.draw(st.lists(cell, min_size=n, max_size=n))
-        verdict = classify(row, gate, initial, thresholds)
-        expected = expected_final(gate, initial)
-        margins = [p - t_up if want == "u" else t_down - p
-                   for p, want in zip(row, expected)]
-        strict = [p > t_up if want == "u" else p < t_down
-                  for p, want in zip(row, expected)]
-        assert verdict.margin == min(margins)
-        assert verdict.passed == (verdict.margin > 0) == all(strict)
-        assert verdict.failing_qubits == tuple(q for q, m in enumerate(margins) if m <= 0)
-        assert verdict.failing_qubits == tuple(q for q, ok in enumerate(strict) if not ok)
+        drawn = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, d - 1), st.integers(0, n - 1)), cell))
+        rows = [[drawn.get((k, q), 1.0 if want == "u" else 0.0)
+                 for q, want in enumerate(expected[k])] for k in range(d)]
+        p_up = np.array(rows)
+        point = PointResult(gradient=1.0, t_flip=1.0, gate=gate, p_up=p_up,
+                            margins=classify(p_up, gate, thresholds))
+        margins = [[p - t_up if want == "u" else t_down - p
+                    for p, want in zip(row, expected[k])] for k, row in enumerate(rows)]
+        strict = [[p > t_up if want == "u" else p < t_down
+                   for p, want in zip(row, expected[k])] for k, row in enumerate(rows)]
+        assert point.margins.tolist() == margins
+        assert not point.margins.flags.writeable
+        assert point.margin == min(min(row) for row in margins)
+        assert point.passed == (point.margin > 0) == all(map(all, strict))
+        first = None
+        for k in range(d):
+            for q in range(n):
+                if first is None and not strict[k][q]:
+                    first = (index_to_label(k, n), q)
+        assert point.first_failure() == first
         other = Thresholds(t_up=data.draw(st.floats(0.51, 0.99)),
                            t_down=data.draw(st.floats(0.01, 0.49)))
-        assert reclassify(verdict, other) == classify(row, gate, initial, other)
+        relabelled = reclassify(point, other)
+        assert relabelled.p_up is point.p_up
+        assert relabelled.margins.tolist() == classify(p_up, gate, other).tolist()
 
 
 class TestThresholds:
@@ -440,7 +494,13 @@ class TestSweep:
         template = SweepTemplate(gate="cnot", fixed_field=0.5, b_ac=0.004,
                                  exchange=(0.42,))
         point = evaluate_point(template, 0.5, NOISELESS, Thresholds())
-        assert [v.initial_state for v in point.verdicts] == ["uu", "ud", "du", "dd"]
+        # row k is basis state k, each propagated on its own here
+        _, h, collapse = point_model(template.config(0.5), NOISELESS)
+        for k, initial in enumerate(["uu", "ud", "du", "dd"]):
+            rho = propagate(h, collapse, [basis_density(initial)], point.t_flip)[0, -1]
+            np.testing.assert_allclose(point.p_up[k], populations_up(rho), atol=1e-12)
+        assert point.p_up.shape == point.margins.shape == (4, 2)
+        assert not point.p_up.flags.writeable and not point.margins.flags.writeable
         assert point.passed
 
     def test_degenerate_spectrum_names_the_gradient(self):
@@ -492,7 +552,7 @@ def longest_run_by_enumeration(passing):
 
 
 class TestRangeExtraction:
-    """`run_sweep`'s range and boundaries from fake verdicts on a grid 1, 2, ..., n."""
+    """`run_sweep`'s range and boundaries from fake margin tables on a grid 1, 2, ..., n."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @example(passing=[True, False, True], refine=True, refined_limit=None)
@@ -503,12 +563,14 @@ class TestRangeExtraction:
            refined_limit=st.none() | st.just(("uu", 1)))
     def test_longest_run_and_its_boundaries(self, passing, refine, refined_limit):
         def fake_point(template, gradient, noise, thresholds):
+            # a failing point fails its last cell and, before it in row-major
+            # order, cell (i % 4, i % 2); its margin is -gradient either way
             i = int(gradient) - 1
-            failing = () if passing[i] else (i % 2,)
-            verdict = GateVerdict(initial_state=f"state{i}", expected="", p_up=(),
-                                  passed=passing[i], failing_qubits=failing,
-                                  margin=gradient if passing[i] else -gradient)
-            return PointResult(gradient=float(gradient), t_flip=1.0, verdicts=(verdict,))
+            margins = np.full((4, 2), gradient)
+            if not passing[i]:
+                margins[i % 4, i % 2] = margins[-1, -1] = -gradient
+            return PointResult(gradient=float(gradient), t_flip=1.0, gate="cnot",
+                               p_up=np.zeros((4, 2)), margins=margins)
 
         refined = []
 
@@ -538,7 +600,7 @@ class TestRangeExtraction:
             if end.open:
                 assert end == analysis.Boundary(gradients[inside], open=True)
                 continue
-            neighbour = (f"state{outside}", outside % 2)
+            neighbour = (index_to_label(outside % 4, 2), outside % 2)
             if refine:
                 want_refined.append((gradients[inside], gradients[outside]))
                 assert end.gradient == 0.5 * (gradients[inside] + gradients[outside])

@@ -1,12 +1,15 @@
 """Every name imported in the package and its tests is used, every
-top-level definition of the package is referenced, and no CLI mode or
-calibration run loads scipy or takes a per-qubit partial trace.
+top-level definition of the package is referenced, every package name the
+benchmark harness wraps or calls resolves, and no CLI mode or calibration
+run loads scipy or takes a per-qubit partial trace.
 
 No linter ships with the test dependencies, so this scans the syntax
 trees directly.  `from __future__` imports and the re-exports of the
 package's `__init__.py` are exempt.
 """
 import ast
+import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -72,6 +75,62 @@ def test_no_unreferenced_definitions():
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert len(modules) > 5
     assert dead == []
+
+
+def dotted(node: ast.AST):
+    """'a.b.c' of a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def perfbench_names() -> set:
+    """Dotted package names the benchmark harness depends on.
+
+    The tracer's SPAN_TARGETS, every name imported from the package, and
+    every attribute read off a package module; read from the syntax trees,
+    so nothing in perfbench/ is imported or run.
+    """
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {"qdgates": "qdgates"}      # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qdgates"):
+                for alias in node.names:
+                    names.add(f"{node.module}.{alias.name}")
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and dotted(node.targets[0]) == "SPAN_TARGETS"):
+                names |= {f"{module}.{attr}" for module, attr, _ in ast.literal_eval(node.value)}
+        for node in ast.walk(tree):
+            head, _, rest = (dotted(node) or "").partition(".")
+            if isinstance(node, ast.Attribute) and head in aliases:
+                names.add(f"{aliases[head]}.{rest}")
+    return names
+
+
+def test_perfbench_names_resolve():
+    # the tracer patches nothing for a (module, attribute) that is gone, so
+    # a rename would make its per-layer metric read 0 without any error
+    for module in ("calibration", "cli"):
+        importlib.import_module(f"qdgates.{module}")
+    names = perfbench_names()
+    missing = []
+    for name in sorted(names):
+        try:
+            functools.reduce(getattr, name.split(".")[1:], importlib.import_module("qdgates"))
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
+    # the scan itself still finds the tracer's targets and the workloads' names
+    assert {"qdgates.analysis.classify", "qdgates.analysis.evaluate_point",
+            "qdgates.analysis.expected_final", "qdgates.analysis._basis_zeeman",
+            "qdgates.analysis.flip_time", "qdgates.lindblad.expm_oracle",
+            "qdgates.operators.partial_trace", "qdgates.cli.template_from_spec",
+            "qdgates.cli.noise_from_spec", "qdgates.calibration.calibrate_upsilon"} <= names
 
 
 SWEEP_CFG = """\

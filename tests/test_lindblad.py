@@ -316,7 +316,7 @@ class TestPropagate:
         monkeypatch.setattr(CollapseSet, "matrices", property(off_run_path))
         for row, gradient in ((HIGH_ROW, 1.0), (LOW_ROW, 0.1441), (TOFFOLI_ROW, 1.0)):
             point = evaluate_point(row, gradient, NoiseConfig(), Thresholds())
-            assert len(point.verdicts) == row.config(gradient).dim
+            assert point.p_up.shape[0] == row.config(gradient).dim
 
     def test_time_zero_returns_initial_states(self, rng):
         h = random_hermitian(rng, 4)
