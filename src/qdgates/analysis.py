@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import device
-from .device import DeviceConfig, CNOT, GATES
+from .device import DeviceConfig
 from .noise import NoiseConfig, build_collapse_set
 from .lindblad import SolverError, propagate
 from .operators import index_to_label, label_to_index, n_qubits_of, up_mask
@@ -72,13 +72,12 @@ def populations_up(states: np.ndarray) -> np.ndarray:
 
 def expected_final(gate: str, initial: str) -> str:
     """Truth-table output label for one initial basis label."""
-    n = 2 if gate == CNOT else 3
-    if gate not in GATES or len(initial) != n or any(ch not in "ud" for ch in initial):
+    layout = device.layout_of(gate)
+    if len(initial) != len(layout.roles) or any(ch not in "ud" for ch in initial):
         raise ValueError(f"initial state {initial!r} does not match gate {gate!r}")
-    controls = (0,) if gate == CNOT else (0, 2)
-    target = 1
     bits = list(initial)
-    if all(bits[c] == "u" for c in controls):
+    if all(bits[c] == "u" for c in layout.controls):
+        target = device.TARGET_QUBIT
         bits[target] = "d" if bits[target] == "u" else "u"
     return "".join(bits)
 
@@ -87,7 +86,7 @@ def expected_final(gate: str, initial: str) -> str:
 def expected_up(gate: str) -> np.ndarray:
     """Read-only (d, n) truth table: [k, q] is True when qubit q of
     `expected_final` of basis state k is up."""
-    n = 2 if gate == CNOT else 3
+    n = len(device.layout_of(gate).roles)
     finals = [label_to_index(expected_final(gate, index_to_label(k, n))) for k in range(1 << n)]
     table = up_mask(n)[finals]
     table.setflags(write=False)
@@ -151,7 +150,7 @@ def _up_amplitudes(cfg: DeviceConfig, h_rwa: np.ndarray) -> tuple:
     the rows r are the basis states whose target spin is up.
     """
     energies, vectors = np.linalg.eigh(h_rwa)
-    up = up_mask(cfg.n_qubits)[:, cfg.target_qubit]
+    up = up_mask(cfg.n_qubits)[:, device.TARGET_QUBIT]
     return energies, (vectors * vectors[0].conj())[up]
 
 
@@ -219,18 +218,14 @@ def _stationary_point(energies, weights, lo: float, hi: float, t: float) -> floa
 class SweepTemplate:
     """Everything that stays fixed along one gradient sweep line."""
     gate: str
-    fixed_field: float           # B_target for cnot, B_left-control for toffoli
+    fixed_field: float           # field of the qubit at offset 0 of the gate's layout
     b_ac: float
     exchange: tuple
     g: float = device.G_DEFAULT
 
     def config(self, gradient: float) -> DeviceConfig:
-        if self.gate == CNOT:
-            return device.cnot_config(self.fixed_field, gradient, j=self.exchange[0],
-                                      b_ac=self.b_ac, g=self.g)
-        return device.toffoli_config(self.fixed_field, gradient,
-                                     j12=self.exchange[0], j23=self.exchange[1],
-                                     b_ac=self.b_ac, g=self.g)
+        return device.line_config(self.gate, self.fixed_field, gradient,
+                                  exchange=self.exchange, b_ac=self.b_ac, g=self.g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +325,8 @@ def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
     """Diagonal static Zeeman energy of every computational basis state:
     sum_q s e_q (+1 up, -1 down), in qubit order as `device._spin_hamiltonian`."""
     signs = np.where(up_mask(cfg.n_qubits), 1.0, -1.0)
-    return sum(cfg.zeeman_sign * e * signs[:, q] for q, e in enumerate(cfg.zeeman_energies))
+    s = cfg.layout.zeeman_sign
+    return sum(s * e * signs[:, q] for q, e in enumerate(cfg.zeeman_energies))
 
 
 def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, device
-from .config import AUTO, ConfigError, RunSpec, parse_config, sweep_axis
-from .device import CNOT, DeviceConfig
+from .config import AUTO, GATE_KEYS, ConfigError, RunSpec, parse_config, sweep_axis
+from .device import LAYOUTS, DeviceConfig
 from .lindblad import propagate
 from .noise import NoiseConfig
 from .operators import basis_density, index_to_label
@@ -61,23 +61,21 @@ def thresholds_from_spec(spec: RunSpec) -> analysis.Thresholds:
     return analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
 
 
+def _values(spec: RunSpec, attrs: tuple) -> tuple:
+    return tuple(getattr(spec, attr) for attr in attrs)
+
+
 def device_from_spec(spec: RunSpec) -> DeviceConfig:
     """Explicit-field device for simulate mode."""
-    if spec.gate == CNOT:
-        fields = (spec.b_control, spec.b_target)
-        exchange = (spec.j,)
-    else:
-        fields = (spec.b_left, spec.b_center, spec.b_right)
-        exchange = (spec.j12, spec.j23)
-    return DeviceConfig(gate=spec.gate, b_fields=fields, b_ac=spec.b_ac,
-                        exchange=exchange, g=spec.g,
+    fields, couplings = GATE_KEYS[spec.gate]
+    return DeviceConfig(gate=spec.gate, b_fields=_values(spec, fields), b_ac=spec.b_ac,
+                        exchange=_values(spec, couplings), g=spec.g,
                         drive_frequency=spec.drive_frequency)
 
 
 def template_from_spec(spec: RunSpec, fixed_field: float) -> analysis.SweepTemplate:
-    exchange = (spec.j,) if spec.gate == CNOT else (spec.j12, spec.j23)
-    return analysis.SweepTemplate(gate=spec.gate, fixed_field=fixed_field,
-                                  b_ac=spec.b_ac, exchange=exchange, g=spec.g)
+    return analysis.SweepTemplate(gate=spec.gate, fixed_field=fixed_field, b_ac=spec.b_ac,
+                                  exchange=_values(spec, GATE_KEYS[spec.gate][1]), g=spec.g)
 
 
 def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
@@ -120,28 +118,12 @@ def run_sweep_mode(spec: RunSpec, out_dir: Path) -> list:
     gradients = sweep_axis(spec)
     paths = []
     for row, fixed in enumerate(spec.fixed_fields):
-        template = template_from_spec(spec, fixed)
-        result = analysis.run_sweep(template, gradients, noise, thresholds)
-        roles = template.config(gradients[0]).qubit_roles
+        result = analysis.run_sweep(template_from_spec(spec, fixed), gradients, noise,
+                                    thresholds)
         path = out_dir / f"sweep_row{row}.csv"
-        _write_sweep_csv(path, result, roles)
+        _write_sweep_csv(path, result, LAYOUTS[spec.gate].roles)
         paths.append(path)
     return paths
-
-
-def _varied_fields(template: analysis.SweepTemplate, gradient: float) -> list:
-    """Static fields the gradient moves: every field but the fixed one."""
-    fields = list(template.config(gradient).b_fields)
-    fields.remove(template.fixed_field)
-    return fields
-
-
-def _role_of(template: analysis.SweepTemplate, limit) -> tuple:
-    if limit is None:
-        return "", ""
-    state, qubit = limit
-    roles = template.config(1.0).qubit_roles
-    return state, roles[qubit]
 
 
 def run_ranges(spec: RunSpec, out_dir: Path) -> list:
@@ -149,15 +131,14 @@ def run_ranges(spec: RunSpec, out_dir: Path) -> list:
     thresholds = thresholds_from_spec(spec)
     gradients = sweep_axis(spec)
     path = out_dir / "ranges.csv"
-    if spec.gate == CNOT:
-        header = ("b_ac_T,j_ueV,b_target_T,status,"
-                  "b_control_min_T,b_control_max_T,open_low,open_high,"
-                  "limit_state_low,limit_qubit_low,limit_state_high,limit_qubit_high")
-    else:
-        header = ("b_ac_T,j12_ueV,j23_ueV,b_left_T,status,"
-                  "b_center_min_T,b_center_max_T,b_right_min_T,b_right_max_T,"
-                  "open_low,open_high,"
-                  "limit_state_low,limit_qubit_low,limit_state_high,limit_qubit_high")
+    layout = LAYOUTS[spec.gate]
+    fields, couplings = GATE_KEYS[spec.gate]
+    varied = [q for q, offset in enumerate(layout.offsets) if offset != 0]
+    header = ["b_ac_T", *(f"{attr}_ueV" for attr in couplings),
+              f"{fields[layout.offsets.index(0)]}_T", "status",
+              *(f"{fields[q]}_{end}_T" for q in varied for end in ("min", "max")),
+              "open_low", "open_high",
+              "limit_state_low", "limit_qubit_low", "limit_state_high", "limit_qubit_high"]
     rows = []
     for fixed in spec.fixed_fields:
         template = template_from_spec(spec, fixed)
@@ -165,18 +146,18 @@ def run_ranges(spec: RunSpec, out_dir: Path) -> list:
                                     refine=spec.sweep_refine)
         row = [_fmt(spec.b_ac), *map(_fmt, template.exchange), _fmt(fixed)]
         if result.empty:
-            row += ["empty"] + [""] * (2 * len(_varied_fields(template, 1.0)) + 6)
+            row += ["empty"] + [""] * (2 * len(varied) + 6)
         else:
             low, high = result.low, result.high
             row.append("ok")
-            for field_low, field_high in zip(_varied_fields(template, low.gradient),
-                                             _varied_fields(template, high.gradient)):
-                row += [_fmt(field_low), _fmt(field_high)]
-            row += [str(low.open).lower(), str(high.open).lower(),
-                    *_role_of(template, low.limit), *_role_of(template, high.limit)]
+            ends = [template.config(end.gradient).b_fields for end in (low, high)]
+            row += [_fmt(b_fields[q]) for q in varied for b_fields in ends]
+            row += [str(low.open).lower(), str(high.open).lower()]
+            for end in (low, high):
+                row += [end.limit[0], layout.roles[end.limit[1]]] if end.limit else ["", ""]
         rows.append(",".join(row))
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(row + "\n")
     return [path]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Thresholds
-from .device import AUTO, CNOT, GATES, G_DEFAULT
+from .device import AUTO, CNOT, GATES, G_DEFAULT, LAYOUTS, TOFFOLI
 from .lindblad import DEFAULT_SAMPLES
 from .noise import PHONON_E_MODES, T2_STAR_NS_DEFAULT, NoiseConfig
 
@@ -127,6 +127,12 @@ _KEYS = {
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
+# gate -> (static-field attributes in the chain order of LAYOUTS, exchange attributes)
+GATE_KEYS = {
+    CNOT: (("b_control", "b_target"), ("j",)),
+    TOFFOLI: (("b_left", "b_center", "b_right"), ("j12", "j23")),
+}
+
 
 def _parse_value(raw: str, kind: str, key: str, line: int):
     raw = raw.strip()
@@ -216,14 +222,10 @@ def validate_spec(spec: RunSpec, lines: dict = None) -> None:
         _check(spec.b_ac > 0, "b_ac must be positive to find a flip time",
                "b_ac", lines)
     _check(spec.g != 0, "g must be nonzero", "g", lines)
-    if spec.gate == CNOT:
-        _require(spec, "j", lines)
-        _check(spec.j >= 0, "exchange must be non-negative", "j", lines)
-    else:
-        _require(spec, "j12", lines)
-        _require(spec, "j23", lines)
-        _check(spec.j12 >= 0, "exchange must be non-negative", "j12", lines)
-        _check(spec.j23 >= 0, "exchange must be non-negative", "j23", lines)
+    fields, couplings = GATE_KEYS[spec.gate]
+    for attr in couplings:
+        _require(spec, attr, lines)
+        _check(getattr(spec, attr) >= 0, "exchange must be non-negative", attr, lines)
     _check(spec.delta_e_nuc > 0, "delta_e_nuc must be positive", "delta_e_nuc", lines)
     _check(spec.t_k > 0, "t_k must be positive", "t_k", lines)
     _check(spec.t2_star_ns > 0, "t2_star_ns must be positive", "t2_star_ns", lines)
@@ -237,21 +239,14 @@ def validate_spec(spec: RunSpec, lines: dict = None) -> None:
     _check(spec.samples >= 2, "samples must be >= 2", "samples", lines)
 
     if spec.mode == "simulate":
-        if spec.gate == CNOT:
-            _require(spec, "b_control", lines)
-            _require(spec, "b_target", lines)
-            _check(spec.b_control > spec.b_target,
-                   "cnot needs the control at higher field than the target",
-                   "b_control", lines)
-        else:
-            _require(spec, "b_left", lines)
-            _require(spec, "b_center", lines)
-            _require(spec, "b_right", lines)
-            order = "toffoli needs fields increasing from left control to right control"
-            _check(spec.b_center > spec.b_left, order, "b_center", lines)
-            _check(spec.b_right > spec.b_center, order, "b_right", lines)
+        for attr in fields:
+            _require(spec, attr, lines)
+        ranked = [attr for _, attr in sorted(zip(LAYOUTS[spec.gate].offsets, fields))]
+        order = f"{spec.gate} needs fields increasing as {' < '.join(ranked)}"
+        for low, high in zip(ranked, ranked[1:]):
+            _check(getattr(spec, high) > getattr(spec, low), order, high, lines)
         _require(spec, "initial_state", lines)
-        n = 2 if spec.gate == CNOT else 3
+        n = len(fields)
         _check(len(spec.initial_state) == n
                and all(ch in "ud" for ch in spec.initial_state),
                f"initial state must be {n} characters of u/d", "initial_state", lines)

@@ -8,10 +8,9 @@ Units and conventions, fixed package-wide:
   and the CLI converts at the boundary;
 * sigma operators are Pauli matrices (eigenvalues +-1), so a single-spin
   Zeeman gap is 2*g*MU_B*B;
-* the CNOT chain is ordered [control, target] with the control at the
-  higher static field; the Toffoli chain is ordered
-  [left control, center target, right control] with fields increasing
-  left to right;
+* `LAYOUTS` describes each gate's chain once: CNOT is [control, target]
+  with the control at the higher static field, Toffoli is [left control,
+  center target, right control] with fields increasing left to right;
 * the two gates use opposite signs on the static Zeeman term (+ for the
   two-spin chain, - for the three-spin chain).  Flipping the sign only
   relabels which spin pattern is highest in energy; both builders follow
@@ -44,7 +43,27 @@ G_GAAS = -0.44          # documented preset; energy scales use |g|
 
 CNOT = "cnot"
 TOFFOLI = "toffoli"
-GATES = (CNOT, TOFFOLI)
+TARGET_QUBIT = 1        # the target's place in both chains
+
+
+@dataclass(frozen=True)
+class GateLayout:
+    """One gate's chain: qubit roles, controls, static Zeeman sign, and the
+    sweep-line offsets (qubit q at fixed + offsets[q] * gradient), by which
+    the static fields of every configuration must be strictly ordered."""
+    roles: tuple
+    controls: tuple
+    zeeman_sign: float
+    offsets: tuple
+
+
+LAYOUTS = {
+    CNOT: GateLayout(roles=("control", "target"), controls=(0,), zeeman_sign=1.0,
+                     offsets=(1, 0)),
+    TOFFOLI: GateLayout(roles=("control_left", "target", "control_right"),
+                        controls=(0, 2), zeeman_sign=-1.0, offsets=(0, 1, 2)),
+}
+GATES = tuple(LAYOUTS)
 
 AUTO = "auto"
 
@@ -63,15 +82,21 @@ def field_to_energy(b_tesla: float, g: float) -> float:
     return g * MU_B * b_tesla
 
 
+def layout_of(gate: str) -> GateLayout:
+    """The `GateLayout` of a gate name; ValueError for any other name."""
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    return LAYOUTS[gate]
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Static description of one gate configuration.
 
-    b_fields holds the per-qubit static fields in tesla, ordered
-    [control, target] for cnot and [left control, center target,
-    right control] for toffoli.  exchange holds (J,) for cnot and
-    (J12, J23) for toffoli, in ueV.  drive_frequency is either the
-    sentinel "auto" or a signed energy in ueV (see module docstring).
+    b_fields holds the static field of each qubit in tesla and exchange the
+    coupling of each neighbour pair in ueV, in the chain order of `layout`.
+    drive_frequency is either the sentinel "auto" or a signed energy in
+    ueV (see module docstring).
     """
     gate: str
     b_fields: tuple
@@ -81,9 +106,7 @@ class DeviceConfig:
     drive_frequency: object = AUTO
 
     def __post_init__(self):
-        if self.gate not in GATES:
-            raise ValueError(f"unknown gate {self.gate!r}")
-        n = 2 if self.gate == CNOT else 3
+        n = len(layout_of(self.gate).roles)
         object.__setattr__(self, "b_fields", tuple(float(b) for b in self.b_fields))
         object.__setattr__(self, "exchange", tuple(float(j) for j in self.exchange))
         if len(self.b_fields) != n:
@@ -102,15 +125,14 @@ class DeviceConfig:
         self._warn_gradient_shape()
 
     def _warn_gradient_shape(self):
-        if self.gate == CNOT:
-            if not self.b_fields[0] > self.b_fields[1]:
-                warnings.warn("cnot expects the control at higher field than the target",
-                              stacklevel=3)
-        else:
-            b1, b2, b3 = self.b_fields
-            if not b3 > b2 > b1:
-                warnings.warn("toffoli expects fields increasing from left control "
-                              "to right control", stacklevel=3)
+        ranked = sorted(zip(self.layout.offsets, self.b_fields, self.layout.roles))
+        if any(low[1] >= high[1] for low, high in zip(ranked, ranked[1:])):
+            warnings.warn(f"{self.gate} expects fields increasing as "
+                          + " < ".join(role for _, _, role in ranked), stacklevel=3)
+
+    @property
+    def layout(self) -> GateLayout:
+        return LAYOUTS[self.gate]
 
     @property
     def n_qubits(self) -> int:
@@ -119,21 +141,6 @@ class DeviceConfig:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
-
-    @property
-    def target_qubit(self) -> int:
-        return 1
-
-    @property
-    def qubit_roles(self) -> tuple:
-        if self.gate == CNOT:
-            return ("control", "target")
-        return ("control_left", "target", "control_right")
-
-    @property
-    def zeeman_sign(self) -> float:
-        """+1 for the two-spin chain, -1 for the three-spin chain."""
-        return 1.0 if self.gate == CNOT else -1.0
 
     @property
     def zeeman_energies(self) -> tuple:
@@ -147,12 +154,19 @@ class DeviceConfig:
         return self.drive_frequency != AUTO
 
 
+def line_config(gate: str, fixed: float, gradient: float, *, exchange, b_ac: float,
+                g: float = G_DEFAULT, drive_frequency=AUTO) -> DeviceConfig:
+    """Configuration with qubit q at fixed + offsets[q] * gradient (offset 0: `fixed` exactly)."""
+    fields = tuple(fixed + o * gradient for o in layout_of(gate).offsets)
+    return DeviceConfig(gate=gate, b_fields=fields, b_ac=b_ac, exchange=exchange, g=g,
+                        drive_frequency=drive_frequency)
+
+
 def cnot_config(b_target: float, gradient: float, *, j: float, b_ac: float,
                 g: float = G_DEFAULT, drive_frequency=AUTO) -> DeviceConfig:
     """CNOT configuration from the target field and gradient B_C - B_T."""
-    return DeviceConfig(gate=CNOT, b_fields=(b_target + gradient, b_target),
-                        b_ac=b_ac, exchange=(j,), g=g,
-                        drive_frequency=drive_frequency)
+    return line_config(CNOT, b_target, gradient, exchange=(j,), b_ac=b_ac, g=g,
+                       drive_frequency=drive_frequency)
 
 
 def toffoli_config(b_left: float, gradient: float, *, j12: float, j23: float,
@@ -162,9 +176,8 @@ def toffoli_config(b_left: float, gradient: float, *, j12: float, j23: float,
     gradient is the positive step between neighbors, so the center target
     sits at b_left + gradient and the right control at b_left + 2*gradient.
     """
-    fields = (b_left, b_left + gradient, b_left + 2 * gradient)
-    return DeviceConfig(gate=TOFFOLI, b_fields=fields, b_ac=b_ac,
-                        exchange=(j12, j23), g=g, drive_frequency=drive_frequency)
+    return line_config(TOFFOLI, b_left, gradient, exchange=(j12, j23), b_ac=b_ac, g=g,
+                       drive_frequency=drive_frequency)
 
 
 def _spin_hamiltonian(cfg: DeviceConfig, shift: float = 0.0) -> np.ndarray:
@@ -179,7 +192,7 @@ def _spin_hamiltonian(cfg: DeviceConfig, shift: float = 0.0) -> np.ndarray:
     for bond, j in enumerate(cfg.exchange):
         for axis in "xyz":
             h += j * (embed_pauli(axis, bond, n) @ embed_pauli(axis, bond + 1, n))
-    s = cfg.zeeman_sign
+    s = cfg.layout.zeeman_sign
     for q, e in enumerate(cfg.zeeman_energies):
         h += (s * e + shift) * embed_pauli("z", q, n)
     return h
@@ -236,7 +249,7 @@ def resonance_frequency(eig: EigenSystem, transition: tuple) -> float:
 def gate_transition(cfg: DeviceConfig) -> tuple:
     """Label pair (all controls up, target flipped) addressed by the drive."""
     up = "u" * cfg.n_qubits
-    flipped = up[:cfg.target_qubit] + "d" + up[cfg.target_qubit + 1:]
+    flipped = up[:TARGET_QUBIT] + "d" + up[TARGET_QUBIT + 1:]
     return up, flipped
 
 

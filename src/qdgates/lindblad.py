@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import sigma_z_string
+from .operators import skew
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
@@ -100,9 +101,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _check_hermitian(h: np.ndarray, scale: float) -> None:
     """Raise SolverError if H deviates from Hermitian by more than
     HERMITIZATION_TOL of `scale`, the generator's largest entry."""
-    skew = _skew(h)
-    if not skew <= HERMITIZATION_TOL * scale:      # also catches NaN
-        raise SolverError(f"generator is not Hermitian: H deviates by {skew:.3e}")
+    dev = skew(h)
+    if not dev <= HERMITIZATION_TOL * scale:      # also catches NaN
+        raise SolverError(f"generator is not Hermitian: H deviates by {dev:.3e}")
 
 
 def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
@@ -158,11 +159,6 @@ def _from_real(x: np.ndarray, d: int) -> np.ndarray:
     vec.imag[..., up] = x[..., d + len(up):]
     vec.imag[..., lo] = -x[..., d + len(up):]
     return vec.reshape(*x.shape[:-1], d, d)
-
-
-def _skew(a: np.ndarray) -> float:
-    """Largest entry of |a - a^+| over a stack of square matrices; NaN propagates."""
-    return np.abs(a - a.conj().swapaxes(-1, -2)).max()
 
 
 def _generator(h: np.ndarray, collapse) -> tuple:
@@ -262,12 +258,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def _hermitized(states: np.ndarray) -> np.ndarray:
     """Symmetrize (..., d, d) states after checking their Hermiticity deviation."""
-    adjoint = states.conj().swapaxes(-1, -2)
-    herm_dev = np.abs(states - adjoint).max()
+    herm_dev = skew(states)
     if not herm_dev <= HERMITIZATION_TOL:      # also catches NaN
         raise SolverError(f"Hermiticity deviation {herm_dev:.3e} exceeds "
                           f"{HERMITIZATION_TOL} before symmetrization")
-    return (states + adjoint) / 2.0
+    return (states + states.conj().swapaxes(-1, -2)) / 2.0
 
 
 def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
@@ -293,8 +288,8 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
         raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
     if not t_end >= 0 or samples < 2:
         raise ValueError("propagate needs t_end >= 0 and samples >= 2")
-    if not (skew := _skew(rho0s)) <= HERMITIZATION_TOL:      # also catches NaN
-        raise ValueError(f"initial state is not Hermitian: deviation {skew:.3e}")
+    if not (dev := skew(rho0s)) <= HERMITIZATION_TOL:      # also catches NaN
+        raise ValueError(f"initial state is not Hermitian: deviation {dev:.3e}")
     generator, v = _generator(h, collapse)
     vh = v.conj().T
     # overflow is not warned about here: the checks below raise on its result

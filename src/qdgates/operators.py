@@ -100,10 +100,15 @@ def basis_density(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
+def skew(a: np.ndarray) -> float:
+    """Largest entry of |a - a^+| over a stack of square matrices; NaN propagates."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max()
+
+
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     a = np.asarray(a)
     scale = max(1.0, np.abs(a).max()) if a.size else 1.0
-    return bool(np.abs(a - a.conj().T).max() <= tol * scale)
+    return bool(skew(a) <= tol * scale)
 
 
 def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-9,
@@ -119,7 +124,7 @@ def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-9,
     tr = np.trace(rho)
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol}")
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if skew(rho) > herm_tol:
         raise ValueError("density matrix is not Hermitian within tolerance")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if evals.min() < eig_floor:

@@ -32,8 +32,10 @@ from qdgates.analysis import (
 from qdgates.calibration import HIGH_ROW, LOW_ROW
 from qdgates.device import (
     G_GAAS,
+    DeviceConfig,
     build_hamiltonian_rwa,
     cnot_config,
+    line_config,
     resolve_drive,
     toffoli_config,
 )
@@ -110,6 +112,51 @@ class TestExpectedFinal:
             expected_final("CNOT", "uuu")
         with pytest.raises(ValueError, match="gate 'bogus'"):
             expected_up("bogus")
+
+
+class TestSweepLine:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(1e-4, 10.0), st.floats(1e-5, 10.0))
+    def test_fields_on_the_line(self, f, g):
+        # qubit q at fixed + offsets[q] * gradient, bit for bit
+        cnot = SweepTemplate(gate="cnot", fixed_field=f, b_ac=0.004,
+                             exchange=(0.42,)).config(g)
+        toffoli = SweepTemplate(gate="toffoli", fixed_field=f, b_ac=0.004,
+                                exchange=(0.42, 0.17)).config(g)
+        assert cnot.b_fields == (f + g, f)
+        assert toffoli.b_fields == (f, f + g, f + 2 * g)
+        assert cnot_config(f, g, j=0.42, b_ac=0.004) == cnot == line_config(
+            "cnot", f, g, exchange=(0.42,), b_ac=0.004)
+        assert toffoli_config(f, g, j12=0.42, j23=0.17, b_ac=0.004) == toffoli == line_config(
+            "toffoli", f, g, exchange=(0.42, 0.17), b_ac=0.004)
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: SweepTemplate(gate="CNOT", fixed_field=1.0, b_ac=0.004,
+                               exchange=(0.42,)).config(0.5), "gate 'CNOT'"),
+        (lambda: SweepTemplate(gate="bogus", fixed_field=0.1, b_ac=0.004,
+                               exchange=(0.42, 0.42)).config(0.5), "gate 'bogus'"),
+        (lambda: SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004,
+                               exchange=(0.42, 0.42)).config(0.5), "needs 1 exchange"),
+        (lambda: SweepTemplate(gate="toffoli", fixed_field=0.1, b_ac=0.004,
+                               exchange=(0.42,)).config(0.5), "needs 2 exchange"),
+        (lambda: line_config("Toffoli", 0.1, 0.5, exchange=(0.42, 0.42), b_ac=0.004),
+         "gate 'Toffoli'"),
+        (lambda: line_config("toffoli", 0.1, 0.5, exchange=(), b_ac=0.004),
+         "needs 2 exchange"),
+        (lambda: DeviceConfig(gate="CNOT", b_fields=(1.5, 1.0), b_ac=0.004,
+                              exchange=(0.42,)), "gate 'CNOT'"),
+        (lambda: DeviceConfig(gate="cnot", b_fields=(1.5, 1.0), b_ac=0.004,
+                              exchange=(0.42, 0.42)), "needs 1 exchange"),
+        (lambda: expected_final("bogus", "uu"), "gate 'bogus'"),
+        (lambda: expected_up("CNOT"), "gate 'CNOT'"),
+    ], ids=["template-CNOT", "template-bogus", "template-cnot-2j", "template-toffoli-1j",
+            "line-Toffoli", "line-toffoli-0j", "device-CNOT", "device-cnot-2j",
+            "expected_final-bogus", "expected_up-CNOT"])
+    def test_wrong_gate_or_coupling_count_rejected(self, build, match):
+        # a ValueError naming the gate or the count, not a KeyError or
+        # IndexError, and no other gate's chain built in its place
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestFlipTime:

@@ -235,8 +235,10 @@ class TestRangesMode:
         out = run_cli(tmp_path, "rng", RANGES_CFG, "ranges")
         csv = out / "ranges.csv"
         lines = csv.read_text().splitlines()
-        assert lines[0].startswith("b_ac_T,j_ueV,b_target_T,status,"
-                                   "b_control_min_T,b_control_max_T")
+        assert lines[0] == ("b_ac_T,j_ueV,b_target_T,status,"
+                            "b_control_min_T,b_control_max_T,open_low,open_high,"
+                            "limit_state_low,limit_qubit_low,"
+                            "limit_state_high,limit_qubit_high")
         assert len(lines) == 2
         compare_csv(csv, GOLDEN_DIR / "ranges.csv", float_tol=1e-6)
 

@@ -166,7 +166,7 @@ class TestHamiltonianTerms:
         for idx in range(cfg.dim):
             label = index_to_label(idx, cfg.n_qubits)
             for q, e in enumerate(cfg.zeeman_energies):
-                reference[idx] += cfg.zeeman_sign * e * (1.0 if label[q] == "u" else -1.0)
+                reference[idx] += cfg.layout.zeeman_sign * e * (1.0 if label[q] == "u" else -1.0)
         np.testing.assert_array_equal(_basis_zeeman(cfg), reference)
 
 

@@ -56,5 +56,5 @@ def test_readme_names_resolve():
             missing.append(name)
     assert missing == []
     assert {"CollapseSet.matrices", "analysis.find_boundary",
-            "device._spin_hamiltonian"} <= attributes
+            "device._spin_hamiltonian", "device.LAYOUTS"} <= attributes
     assert "noise.phonon_e_mode" in keys

@@ -1,7 +1,8 @@
 """Every name imported in the package and its tests is used, every
-top-level definition of the package is referenced, every package name the
-benchmark harness wraps or calls resolves, and no CLI mode or calibration
-run loads scipy or takes a per-qubit partial trace.
+top-level definition of the package is referenced, no package module
+branches on a gate name, every package name the benchmark harness wraps or
+calls resolves, and no CLI mode or calibration run loads scipy or takes a
+per-qubit partial trace.
 
 No linter ships with the test dependencies, so this scans the syntax
 trees directly.  `from __future__` imports and the re-exports of the
@@ -75,6 +76,30 @@ def test_no_unreferenced_definitions():
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert len(modules) > 5
     assert dead == []
+
+
+def test_gate_layout_written_once():
+    # each gate's chain lives in device.LAYOUTS and nowhere else: no module
+    # compares against a gate name, so no `if gate == ...` branch can treat
+    # every other name as one particular gate
+    names, strings = {"CNOT", "TOFFOLI"}, {"cnot", "toffoli"}
+    branches, layouts = [], []
+    paths = sorted(ROOT.glob("src/qdgates/*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Compare) and any(
+                    (isinstance(op, ast.Name) and op.id in names)
+                    or (isinstance(op, ast.Constant) and op.value in strings)
+                    for op in [node.left, *node.comparators]):
+                branches.append(where)
+            elif (isinstance(node, ast.Call) and path.name != "device.py"
+                  and "GateLayout" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))):
+                layouts.append(where)
+    assert branches == []
+    assert layouts == []
 
 
 def dotted(node: ast.AST):
