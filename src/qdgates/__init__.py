@@ -52,6 +52,7 @@ from .analysis import (
     SweepTemplate,
     Thresholds,
     classify,
+    coherent_point,
     evaluate_point,
     expected_final,
     flip_time,

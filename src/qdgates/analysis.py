@@ -9,9 +9,10 @@ rotating-frame evolution, in closed form from the eigenvectors of H_rwa:
 a sampled scan, block by block up to the first block that holds it,
 brackets the first minimum of the target's P_up, and a safeguarded
 Newton iteration on the closed-form dP_up/dt pins it to roundoff.  It is
-reused for every noisy initial state, so that decoherence is never
-conflated with timing drift.  One `propagate(h, collapse, rho0s, t_flip)`
-call, a single exact expm(L t_flip) step, gives all noisy states at the
+kept in `coherent_point`, a gradient's noise-free part, which a calibration
+fit builds once and every noisy state and noise setting reuses, so that
+decoherence is never conflated with timing drift.  One `propagate` call,
+a single exact expm(L t_flip) step, gives all noisy states at the
 flip time, and one `populations_up` call their (d, n) P_up table; it
 raises rather than clips.  That table is a point's only verdict data:
 `classify` turns it into margins against the truth table `expected_up`.
@@ -33,9 +34,9 @@ import numpy as np
 
 from . import device
 from .device import DeviceConfig
-from .noise import NoiseConfig, build_collapse_set
+from .noise import CollapseSet, NoiseConfig, build_collapse_set
 from .lindblad import SolverError, propagate
-from .operators import index_to_label, label_to_index, n_qubits_of, up_mask
+from .operators import EigenSystem, index_to_label, label_to_index, n_qubits_of, up_mask
 
 FLIP_WINDOW_FACTOR = 4.0
 FLIP_SAMPLES = 2000        # evenly spaced times of the flip-time scan
@@ -289,36 +290,51 @@ class SweepResult:
         return self.range_indices is None
 
 
-def point_model(cfg: DeviceConfig, noise: NoiseConfig) -> tuple:
-    """(resolved config, H_rwa, collapse set) of one device configuration.
-
-    The drive-free eigensystem is built once and serves both the drive
-    resolution and the collapse set.
-    """
+def coherent_model(cfg: DeviceConfig) -> tuple:
+    """Noise-free model: (resolved config, drive-free eigensystem, read-only H_rwa)."""
     eig = device.static_eigensystem(cfg)
     cfg = device.resolve_drive(cfg, eig)
+    (h := device.build_hamiltonian_rwa(cfg)).setflags(write=False)
+    return cfg, eig, h
+
+
+def collapse_model(cfg: DeviceConfig, eig: EigenSystem, noise: NoiseConfig) -> CollapseSet:
+    """Collapse set of a `coherent_model` under one noise setting."""
     zeeman = _basis_zeeman(cfg) if noise.phonon_e_mode == "bare_zeeman" else None
-    collapse = build_collapse_set(eig, noise, zeeman_energies=zeeman)
-    return cfg, device.build_hamiltonian_rwa(cfg), collapse
+    return build_collapse_set(eig, noise, zeeman_energies=zeeman)
 
 
-def evaluate_point(template: SweepTemplate, gradient: float, noise: NoiseConfig,
-                   thresholds: Thresholds) -> PointResult:
-    """Propagate every initial basis state to the flip time and classify.
+@dataclass(frozen=True, eq=False)
+class CoherentPoint:
+    """Noise-free part of one gradient point: its `coherent_model` and flip time."""
+    gradient: float
+    cfg: DeviceConfig
+    eig: EigenSystem
+    h_rwa: np.ndarray
+    t_flip: float
 
-    Model, flip-time, propagation and population failures name the gradient.
-    """
+
+def coherent_point(template: SweepTemplate, gradient: float) -> CoherentPoint:
+    """A gradient's `CoherentPoint`; model and flip-time failures name the gradient."""
     try:
-        cfg, h, collapse = point_model(template.config(gradient), noise)
-        t_flip = flip_time(cfg, h_rwa=h)
-        basis = np.eye(cfg.dim)
-        finals = propagate(h, collapse, np.einsum("ki,kj->kij", basis, basis), t_flip)[:, -1]
-        p_up = populations_up(finals)
-    except (ValueError, FlipTimeError, SolverError) as exc:
+        cfg, eig, h = coherent_model(template.config(gradient))
+        return CoherentPoint(float(gradient), cfg, eig, h, flip_time(cfg, h_rwa=h))
+    except (ValueError, FlipTimeError) as exc:
         raise type(exc)(f"gradient {gradient} T: {exc}") from exc
-    p_up.setflags(write=False)
-    return PointResult(gradient=float(gradient), t_flip=t_flip, gate=cfg.gate, p_up=p_up,
-                       margins=classify(p_up, cfg.gate, thresholds))
+
+
+def evaluate_point(point: CoherentPoint, noise: NoiseConfig,
+                   thresholds: Thresholds) -> PointResult:
+    """Classify every basis state propagated to the flip time; failures name the gradient."""
+    cfg, basis = point.cfg, np.eye(point.cfg.dim)
+    try:
+        finals = propagate(point.h_rwa, collapse_model(cfg, point.eig, noise),
+                           np.einsum("ki,kj->kij", basis, basis), point.t_flip)[:, -1]
+        (p_up := populations_up(finals)).setflags(write=False)
+    except (ValueError, SolverError) as exc:
+        raise type(exc)(f"gradient {point.gradient} T: {exc}") from exc
+    return PointResult(gradient=point.gradient, t_flip=point.t_flip, gate=cfg.gate,
+                       p_up=p_up, margins=classify(p_up, cfg.gate, thresholds))
 
 
 def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:
@@ -344,9 +360,8 @@ def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
         raise ValueError("sweep grid is empty")
     if np.any(np.diff(gradients) <= 0):
         raise ValueError("gradient axis must be strictly increasing")
-    points = [evaluate_point(template, g, noise, thresholds) for g in gradients]
-    best = None
-    start = None
+    points = [evaluate_point(coherent_point(template, g), noise, thresholds) for g in gradients]
+    best = start = None
     for i, ok in enumerate([*(p.passed for p in points), False]):
         if ok and start is None:
             start = i
@@ -423,7 +438,7 @@ def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
 
     def margin(gradient):
         nonlocal limit
-        point = evaluate_point(template, gradient, noise, thresholds)
+        point = evaluate_point(coherent_point(template, gradient), noise, thresholds)
         if not point.passed:
             limit = point.first_failure()
         return point.margin

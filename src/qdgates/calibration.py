@@ -14,15 +14,16 @@ then frozen as the package defaults:
 Each fit finds the root, in the log of the constant, of the verdict
 margin at the target gradient, using the monotone dependence of the
 boundary on the rate strength, through `analysis.find_boundary`, the ITP
-root finder that also refines range boundaries.  The resulting pair is
-frozen in the noise module; this module exists so the fit can be
-reproduced.
+root finder that also refines range boundaries.  A fit builds its
+gradient's noise-free part, `analysis.coherent_point`, once.  The
+resulting pair is frozen in the noise module; this module exists so the
+fit can be reproduced.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .analysis import SweepTemplate, Thresholds, evaluate_point, find_boundary
+from .analysis import SweepTemplate, Thresholds, coherent_point, evaluate_point, find_boundary
 from .device import CNOT
 from .noise import NoiseConfig
 
@@ -44,9 +45,11 @@ def _fit_log10(row: SweepTemplate, gradient: float, base: NoiseConfig, field: st
                log10_lo: float, log10_hi: float, tol: float) -> float:
     """Root-find log10 of the noise constant `field` where `row` stops passing
     at `gradient`; the bracket must pass at log10_lo and fail at log10_hi."""
+    point = coherent_point(row, gradient)
+
     def margin(log10_value):
         noise = replace(base, **{field: 10.0 ** log10_value})
-        return evaluate_point(row, gradient, noise, Thresholds()).margin
+        return evaluate_point(point, noise, Thresholds()).margin
 
     m_lo = margin(log10_lo)
     if not m_lo > 0.0:

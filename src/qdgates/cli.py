@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, device
-from .config import AUTO, GATE_KEYS, ConfigError, RunSpec, parse_config, sweep_axis
+from .config import AUTO, GATE_KEYS, ConfigError, RunSpec, parse_config, sweep_axis, validate_spec
 from .device import LAYOUTS, DeviceConfig
 from .lindblad import propagate
 from .noise import NoiseConfig
@@ -79,11 +79,10 @@ def template_from_spec(spec: RunSpec, fixed_field: float) -> analysis.SweepTempl
 
 
 def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
-    cfg, h, collapse = analysis.point_model(device_from_spec(spec), noise_from_spec(spec))
-    if spec.t_end_ns == AUTO:
-        t_end = analysis.flip_time(cfg, h_rwa=h)
-    else:
-        t_end = device.ns_to_time(spec.t_end_ns)
+    cfg, eig, h = analysis.coherent_model(device_from_spec(spec))
+    collapse = analysis.collapse_model(cfg, eig, noise_from_spec(spec))
+    t_end = (analysis.flip_time(cfg, h_rwa=h) if spec.t_end_ns == AUTO
+             else device.ns_to_time(spec.t_end_ns))
     extras["resolved_drive_frequency_ueV"] = float(cfg.drive_frequency)
     extras["t_end_ns"] = device.time_to_ns(t_end)
     times = np.linspace(0.0, t_end, spec.samples)
@@ -189,7 +188,8 @@ def write_manifest(spec: RunSpec, out_dir: Path, outputs: list,
 
 
 def run(spec: RunSpec, out_dir: Path) -> list:
-    """Execute a validated RunSpec; returns the list of written files."""
+    """Validate and execute a RunSpec; returns the list of written files."""
+    validate_spec(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     extras = {}
     if spec.mode == "simulate":

@@ -209,18 +209,14 @@ def _check(cond: bool, message: str, attr: str, lines: dict):
 
 def validate_spec(spec: RunSpec, lines: dict = None) -> None:
     lines = lines or {}
+    _check(spec.gate in GATE_KEYS, f"unknown gate {spec.gate!r}", "gate", lines)
     for attr, value in vars(spec).items():
-        if isinstance(value, bool):
-            continue
-        values = value if isinstance(value, tuple) else (value,)
-        for v in values:
-            if isinstance(v, (int, float)) and not math.isfinite(v):
-                key = _ATTR_TO_KEY[attr]
-                raise ConfigError("value must be finite", key, lines.get(key))
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, (int, float)):
+                _check(math.isfinite(v), "value must be finite", attr, lines)
     _check(spec.b_ac >= 0, "b_ac must be non-negative", "b_ac", lines)
     if spec.mode != "simulate" or spec.t_end_ns == AUTO:
-        _check(spec.b_ac > 0, "b_ac must be positive to find a flip time",
-               "b_ac", lines)
+        _check(spec.b_ac > 0, "b_ac must be positive to find a flip time", "b_ac", lines)
     _check(spec.g != 0, "g must be nonzero", "g", lines)
     fields, couplings = GATE_KEYS[spec.gate]
     for attr in couplings:
@@ -264,8 +260,7 @@ def validate_spec(spec: RunSpec, lines: dict = None) -> None:
         _check(all(f > 0 for f in spec.fixed_fields), "fixed fields must be positive",
                "fixed_fields", lines)
         if spec.sweep_points is not None:
-            _check(spec.sweep_points >= 2, "sweep needs at least 2 points",
-                   "sweep_points", lines)
+            _check(spec.sweep_points >= 2, "sweep needs at least 2 points", "sweep_points", lines)
 
 
 def render_config(spec: RunSpec) -> str:

@@ -28,6 +28,7 @@ always the bare transition gap of the drive-free spectrum.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -116,7 +117,7 @@ class DeviceConfig:
         values = [*self.b_fields, self.b_ac, *self.exchange, self.g]
         if self.drive_frequency != AUTO:
             values.append(float(self.drive_frequency))
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise ValueError("device parameters must be finite")
         if self.b_ac < 0:
             raise ValueError("b_ac must be non-negative")

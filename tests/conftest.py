@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qdgates import analysis, device
 from qdgates.device import (
     build_hamiltonian_rwa,
     cnot_config,
@@ -15,6 +18,18 @@ from qdgates.noise import NoiseConfig, build_collapse_set
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)
+
+
+@pytest.fixture
+def model_builds(monkeypatch):
+    """Counter of `analysis.flip_time` and `device.static_eigensystem` calls."""
+    counts = Counter()
+    for module, name in ((analysis, "flip_time"), (device, "static_eigensystem")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return counts
 
 
 def random_density(rng, dim):

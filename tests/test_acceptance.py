@@ -12,6 +12,7 @@ from qdgates import analysis
 from qdgates.analysis import (
     SweepTemplate,
     Thresholds,
+    coherent_point,
     evaluate_point,
     find_boundary,
     flip_time,
@@ -182,7 +183,7 @@ def test_criterion_06_frame_equivalence():
 
 def margin_at(template, noise, thresholds):
     """Verdict margin over the gradient for `find_boundary`."""
-    return lambda gradient: evaluate_point(template, gradient, noise,
+    return lambda gradient: evaluate_point(coherent_point(template, gradient), noise,
                                            thresholds).margin
 
 
@@ -198,7 +199,7 @@ def test_criterion_07_calibrated_trend():
         assert m_in > 0 and not m_out > 0
         gradient = find_boundary(margin, 1.2, 3.6, 2e-3, m_in, m_out)
         uppers[b_target] = b_target + gradient
-        just_failing = evaluate_point(template, gradient + 0.02, noise,
+        just_failing = evaluate_point(coherent_point(template, gradient + 0.02), noise,
                                       thresholds)
         state, qubit = just_failing.first_failure()
         assert state == "dd", f"B_T={b_target}: limiting state {state}"
@@ -211,7 +212,7 @@ def test_criterion_07_calibrated_trend():
     # is the last initial state to recover as the gradient grows
     def verdicts_at(gradient):
         # initial label -> least margin over that state's qubits
-        point = evaluate_point(LOW_ROW, gradient, noise, thresholds)
+        point = evaluate_point(coherent_point(LOW_ROW, gradient), noise, thresholds)
         return {index_to_label(k, 2): float(m) for k, m in enumerate(point.margins.min(axis=1))}
 
     def du_margin(gradient):
@@ -256,7 +257,7 @@ def test_criterion_08_cnot_contains_toffoli():
     m_in, m_out = margin(1.05), margin(1.65)
     assert m_in > 0 and not m_out > 0
     boundary = find_boundary(margin, 1.05, 1.65, 5e-3, m_in, m_out)
-    outside = evaluate_point(template, boundary + 0.01, noise, thresholds)
+    outside = evaluate_point(coherent_point(template, boundary + 0.01), noise, thresholds)
     state, qubit = outside.first_failure()
     assert qubit == 2, (state, qubit)  # right control
     print("\n[criterion 8] PASS - cnot passing interval strictly contains the "

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from qdgates.analysis import (
     SweepTemplate,
     Thresholds,
     classify,
+    coherent_model,
+    coherent_point,
+    collapse_model,
     evaluate_point,
     expected_final,
     expected_up,
     find_boundary,
     flip_time,
-    point_model,
     populations_up,
     reclassify,
     run_sweep,
@@ -29,7 +32,7 @@ from qdgates.analysis import (
     _stationary_point,
     _up_amplitudes,
 )
-from qdgates.calibration import HIGH_ROW, LOW_ROW
+from qdgates.calibration import GRADIENT_LOW_TARGET, HIGH_ROW, LOW_ROW
 from qdgates.device import (
     G_GAAS,
     DeviceConfig,
@@ -40,7 +43,7 @@ from qdgates.device import (
     toffoli_config,
 )
 from qdgates.lindblad import propagate
-from qdgates.noise import NoiseConfig
+from qdgates.noise import UPSILON_DEFAULT, NoiseConfig
 from qdgates.operators import (basis_density, basis_ket, index_to_label, label_to_index,
                                partial_trace)
 
@@ -540,9 +543,10 @@ class TestSweep:
     def test_evaluate_point_runs_all_initial_states(self):
         template = SweepTemplate(gate="cnot", fixed_field=0.5, b_ac=0.004,
                                  exchange=(0.42,))
-        point = evaluate_point(template, 0.5, NOISELESS, Thresholds())
+        point = evaluate_point(coherent_point(template, 0.5), NOISELESS, Thresholds())
         # row k is basis state k, each propagated on its own here
-        _, h, collapse = point_model(template.config(0.5), NOISELESS)
+        cfg, eig, h = coherent_model(template.config(0.5))
+        collapse = collapse_model(cfg, eig, NOISELESS)
         for k, initial in enumerate(["uu", "ud", "du", "dd"]):
             rho = propagate(h, collapse, [basis_density(initial)], point.t_flip)[0, -1]
             np.testing.assert_allclose(point.p_up[k], populations_up(rho), atol=1e-12)
@@ -550,19 +554,46 @@ class TestSweep:
         assert not point.p_up.flags.writeable and not point.margins.flags.writeable
         assert point.passed
 
+    def test_one_coherent_point_serves_every_noise_setting(self):
+        point = coherent_point(LOW_ROW, GRADIENT_LOW_TARGET)
+        for array in (point.h_rwa, point.eig.energies, point.eig.vectors):
+            assert not array.flags.writeable
+        for noise in (NoiseConfig(), NoiseConfig().scaled(10),
+                      replace(NoiseConfig(), upsilon=10 * UPSILON_DEFAULT)):
+            shared = evaluate_point(point, noise, Thresholds())
+            fresh = evaluate_point(coherent_point(LOW_ROW, GRADIENT_LOW_TARGET), noise,
+                                   Thresholds())
+            for field in ("t_flip", "p_up", "margins"):
+                assert np.array_equal(getattr(shared, field), getattr(fresh, field))
+
+    def test_sweep_builds_each_point_once(self, model_builds, monkeypatch):
+        evaluated = []
+
+        def counting(point, noise, thresholds):
+            evaluated.append(point.gradient)
+            return evaluate_point(point, noise, thresholds)
+
+        monkeypatch.setattr(analysis, "evaluate_point", counting)
+        gradients = np.linspace(0.005, 0.045, 5)  # closed lower boundary near 0.0136
+        run_sweep(SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004, exchange=(0.42,)),
+                  gradients, NoiseConfig(), Thresholds(), refine=True)
+        assert len(evaluated) > len(gradients)   # the lower end was refined
+        assert model_builds == {"flip_time": len(evaluated),
+                                "static_eigensystem": len(evaluated)}
+
     def test_degenerate_spectrum_names_the_gradient(self):
         # zero target field and zero exchange leave uu/ud and du/dd degenerate
         template = SweepTemplate(gate="cnot", fixed_field=0.0, b_ac=0.004,
                                  exchange=(0.0,))
         with pytest.raises(ValueError, match=r"gradient 0\.5 T: .*nondegenerate"):
-            evaluate_point(template, 0.5, NoiseConfig(), Thresholds())
+            evaluate_point(coherent_point(template, 0.5), NoiseConfig(), Thresholds())
 
     def test_population_failure_names_the_gradient(self):
         # at 1e10 times the calibrated rates the propagated states drift
         # past the population tolerance; the error says where
         with pytest.raises(ValueError, match=r"gradient 0\.83.* T: .*population"):
-            evaluate_point(HIGH_ROW, 0.8346242608806184, NoiseConfig().scaled(1e10),
-                           Thresholds())
+            evaluate_point(coherent_point(HIGH_ROW, 0.8346242608806184),
+                           NoiseConfig().scaled(1e10), Thresholds())
 
     def test_operating_range_refines_boundary_to_three_figures(self):
         template = SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004,
@@ -609,7 +640,7 @@ class TestRangeExtraction:
            refine=st.booleans(),
            refined_limit=st.none() | st.just(("uu", 1)))
     def test_longest_run_and_its_boundaries(self, passing, refine, refined_limit):
-        def fake_point(template, gradient, noise, thresholds):
+        def fake_point(gradient, noise, thresholds):
             # a failing point fails its last cell and, before it in row-major
             # order, cell (i % 4, i % 2); its margin is -gradient either way
             i = int(gradient) - 1
@@ -629,6 +660,7 @@ class TestRangeExtraction:
 
         gradients = np.arange(1.0, len(passing) + 1.0)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "coherent_point", lambda template, gradient: gradient)
             mp.setattr(analysis, "evaluate_point", fake_point)
             mp.setattr(analysis, "refine_boundary", fake_refine)
             result = run_sweep(None, gradients, None, None, refine=refine)

@@ -35,10 +35,18 @@ def test_fit_evaluation_count(monkeypatch, fit, evaluations):
     evaluate_point = calibration.evaluate_point
     calls = []
 
-    def counting(row, gradient, noise, thresholds):
+    def counting(point, noise, thresholds):
         calls.append(noise)
-        return evaluate_point(row, gradient, noise, thresholds)
+        return evaluate_point(point, noise, thresholds)
 
     monkeypatch.setattr(calibration, "evaluate_point", counting)
     fit(NoiseConfig())
     assert len(calls) == evaluations
+
+
+def test_fit_builds_its_gradient_once(model_builds):
+    # one eigensystem and one flip time per fit, however many noise settings
+    # it evaluates; a second fit builds them again
+    for fits in (1, 2):
+        calibrate_upsilon(NoiseConfig())
+        assert model_builds == {"flip_time": fits, "static_eigensystem": fits}

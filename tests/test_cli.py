@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from qdgates.cli import build_parser, main
+from qdgates.cli import build_parser, main, run
+from qdgates.config import ConfigError, RunSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -299,9 +300,9 @@ class TestWorkerCount:
         evaluate_point = analysis.evaluate_point
         calls = []
 
-        def recording(template, gradient, *args):
-            calls.append((float(gradient), os.getpid()))
-            return evaluate_point(template, gradient, *args)
+        def recording(point, noise, thresholds):
+            calls.append((point.gradient, os.getpid()))
+            return evaluate_point(point, noise, thresholds)
 
         monkeypatch.setattr(analysis, "evaluate_point", recording)
         ref = run_cli(tmp_path, "ref", cfg_text, mode, out_name="ref", workers=1)
@@ -351,6 +352,15 @@ class TestCliErrors:
         out = tmp_path / "out"
         assert main(["ranges", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_run_validates_a_hand_built_spec(self, tmp_path):
+        # `run` checks the spec itself, so an unknown gate names its key
+        spec = RunSpec(mode="ranges", gate="CNOT", j=0.42, b_ac=0.004, sweep_start=1.6,
+                       sweep_stop=2.4, sweep_points=2, fixed_fields=(1.0,))
+        with pytest.raises(ConfigError, match="unknown gate 'CNOT'") as err:
+            run(spec, tmp_path / "out")
+        assert err.value.key == "device.gate"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1

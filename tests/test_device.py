@@ -259,6 +259,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cnot_cfg(exchange=(-0.1,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["b_fields", "b_ac", "exchange", "g",
+                                       "drive_frequency"])
+    def test_non_finite_parameter_rejected(self, field, bad):
+        value = {"b_fields": (1.0, bad), "exchange": (bad,)}.get(field, bad)
+        with pytest.raises(ValueError, match="device parameters must be finite"):
+            cnot_cfg(**{field: value})
+
     def test_wrong_field_count(self):
         with pytest.raises(ValueError):
             DeviceConfig(gate="cnot", b_fields=(1.0, 0.5, 0.1), b_ac=0.0,

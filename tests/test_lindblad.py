@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from qdgates import lindblad
-from qdgates.analysis import SweepTemplate, Thresholds, evaluate_point, flip_time, point_model
+from qdgates.analysis import (SweepTemplate, Thresholds, coherent_model, collapse_model,
+                              coherent_point, evaluate_point, flip_time)
 from qdgates.calibration import HIGH_ROW, LOW_ROW
 from qdgates.device import (
     build_hamiltonian_rwa,
@@ -52,8 +53,8 @@ TOFFOLI_ROW = SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=0.004,
 
 def flip_step_generator(row: SweepTemplate, gradient: float) -> np.ndarray:
     """L t_flip at one grid point: the matrix that `evaluate_point` exponentiates."""
-    cfg, h, collapse = point_model(row.config(gradient), NoiseConfig())
-    return liouvillian(h, collapse) * flip_time(cfg, h_rwa=h)
+    cfg, eig, h = coherent_model(row.config(gradient))
+    return liouvillian(h, collapse_model(cfg, eig, NoiseConfig())) * flip_time(cfg, h_rwa=h)
 
 
 def exceptional_point_setup() -> tuple:
@@ -315,7 +316,7 @@ class TestPropagate:
         monkeypatch.setattr(lindblad, "liouvillian", off_run_path)
         monkeypatch.setattr(CollapseSet, "matrices", property(off_run_path))
         for row, gradient in ((HIGH_ROW, 1.0), (LOW_ROW, 0.1441), (TOFFOLI_ROW, 1.0)):
-            point = evaluate_point(row, gradient, NoiseConfig(), Thresholds())
+            point = evaluate_point(coherent_point(row, gradient), NoiseConfig(), Thresholds())
             assert point.p_up.shape[0] == row.config(gradient).dim
 
     def test_time_zero_returns_initial_states(self, rng):
