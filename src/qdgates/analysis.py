@@ -13,8 +13,9 @@ kept in `coherent_point`, a gradient's noise-free part, which a calibration
 fit builds once and every noisy state and noise setting reuses, so that
 decoherence is never conflated with timing drift.  One `propagate` call,
 a single exact expm(L t_flip) step, gives all noisy states at the
-flip time, and one `populations_up` call their (d, n) P_up table; it
-raises rather than clips.  That table is a point's only verdict data:
+flip time, and one `populations_up` call their (d, n) P_up table, exactly
+as propagated: `propagate` alone judges whether a state is physical, and
+nothing is clipped.  That table is a point's only verdict data:
 `classify` turns it into margins against the truth table `expected_up`.
 `run_sweep` is the one entry point for a gradient grid: it evaluates every
 point, marks the longest passing run as the operating range and describes
@@ -61,14 +62,11 @@ class Thresholds:
 def populations_up(states: np.ndarray) -> np.ndarray:
     """Spin-up probability of every qubit: (..., d, d) states -> (..., n_qubits).
 
-    Each state's diagonal times `up_mask`.  Raises ValueError beyond 1e-9
-    outside [0, 1], NaN included, and clamps within that tolerance.
+    Each state's diagonal times `up_mask`, a plain projection: no range
+    check and no clipping.  On a state that `propagate` accepted it lies in
+    the bound written beside `lindblad.TRACE_TOL`.
     """
-    pops = np.einsum("...ii->...i", states).real @ up_mask(n_qubits_of(states.shape[-1]))
-    bad = ~((pops >= -1e-9) & (pops <= 1.0 + 1e-9))
-    if bad.any():
-        raise ValueError(f"population {pops[bad][0]} outside [0, 1] beyond tolerance")
-    return np.clip(pops, 0.0, 1.0)
+    return np.einsum("...ii->...i", states).real @ up_mask(n_qubits_of(states.shape[-1]))
 
 
 def expected_final(gate: str, initial: str) -> str:
@@ -330,9 +328,9 @@ def evaluate_point(point: CoherentPoint, noise: NoiseConfig,
     try:
         finals = propagate(point.h_rwa, collapse_model(cfg, point.eig, noise),
                            np.einsum("ki,kj->kij", basis, basis), point.t_flip)[:, -1]
-        (p_up := populations_up(finals)).setflags(write=False)
     except (ValueError, SolverError) as exc:
         raise type(exc)(f"gradient {point.gradient} T: {exc}") from exc
+    (p_up := populations_up(finals)).setflags(write=False)
     return PointResult(gradient=point.gradient, t_flip=point.t_flip, gate=cfg.gate,
                        p_up=p_up, margins=classify(p_up, cfg.gate, thresholds))
 

@@ -54,6 +54,10 @@ HERMITIZATION_TOL = 1e-8
 TRACE_TOL = 1e-3
 # Least eigenvalue a propagated state may show (criterion 2's floor)
 EIG_FLOOR = -1e-7
+# Together the two checks are the one physicality policy: a diagonal entry
+# is at least the least eigenvalue, and a qubit's P_up sums d/2 of the d
+# diagonal entries, so every P_up of an accepted state lies in
+# [d/2 EIG_FLOOR, 1 + TRACE_TOL - d/2 EIG_FLOOR].
 
 # Pade [13/13] coefficients of exp, and the largest 1-norm at which that
 # approximant's backward error stays below unit roundoff (Higham 2005)

@@ -5,11 +5,13 @@ import pytest
 
 from qdgates.analysis import _basis_zeeman
 from qdgates.device import (
+    G_GAAS,
     DeviceConfig,
     build_hamiltonian_lab,
     build_hamiltonian_rwa,
     cnot_config,
     field_to_energy,
+    gate_transition,
     resolve_drive,
     resonance_frequency,
     static_eigensystem,
@@ -200,6 +202,20 @@ class TestResonance:
         assert abs(toff.drive_frequency) == pytest.approx(
             resonance_frequency(eig3, ("uuu", "udu")), rel=1e-12)
         assert toff.drive_frequency > 0  # three-spin chain, negative Zeeman sign
+
+    @pytest.mark.parametrize("cfg", [
+        cnot_cfg(),
+        toffoli_config(0.1, 0.3, j12=0.42, j23=0.42, b_ac=0.004),
+        cnot_cfg(g=G_GAAS),
+    ], ids=["cnot", "toffoli", "gaas"])
+    def test_auto_resolution_is_the_signed_single_flip_gap(self, cfg):
+        # the gate transition flips one spin, so the degenerate rotating
+        # frame needs exactly the signed gap, with no magnetization factor
+        eig = static_eigensystem(cfg)
+        up, flipped = gate_transition(cfg)
+        assert sum(a != b for a, b in zip(up, flipped)) == 1
+        assert resolve_drive(cfg, eig).drive_frequency == \
+            eig.energy_of(flipped) - eig.energy_of(up)
 
     def test_unlabeled_transition_rejected(self):
         eig = static_eigensystem(cnot_cfg())
