@@ -23,7 +23,6 @@ from .device import (
     cnot_config,
     field_to_energy,
     resolve_drive,
-    resonance_frequency,
     static_eigensystem,
     static_hamiltonian,
     toffoli_config,
@@ -32,8 +31,7 @@ from .noise import (
     CollapseSet,
     NoiseConfig,
     build_collapse_set,
-    hyperfine_rate_down,
-    hyperfine_rate_up,
+    hyperfine_rate,
     phonon_rate,
 )
 from .lindblad import (

@@ -348,10 +348,9 @@ def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
     """Evaluate every gradient point, in order, and extract the operating range.
 
     The range is the longest contiguous passing run, the earliest one on a
-    tie.  With `refine` each closed end is refined by `refine_boundary`
-    from its grid points' margins, low end first; its limiting state is the
-    refinement's when it found a failing point, and the grid neighbour's
-    first failure otherwise.
+    tie.  A closed end is the last passing grid point, limited by its failing
+    neighbour's first failure; with `refine` `refine_boundary` builds it
+    instead, low end first.
     """
     gradients = np.asarray(gradients, dtype=float)
     if gradients.size == 0:
@@ -371,17 +370,11 @@ def run_sweep(template: SweepTemplate, gradients, noise: NoiseConfig,
         return SweepResult(gradients=gradients, points=points)
 
     def boundary(inside: int, outside: int) -> Boundary:
-        gradient, limit = gradients[inside], None
         if not 0 <= outside < len(points):
-            return Boundary(float(gradient), open=True)
+            return Boundary(points[inside].gradient, open=True)
         if refine:
-            gradient, limit = refine_boundary(template, noise, thresholds,
-                                              gradient, gradients[outside],
-                                              points[inside].margin,
-                                              points[outside].margin)
-        if limit is None:
-            limit = points[outside].first_failure()
-        return Boundary(float(gradient), open=False, limit=limit)
+            return refine_boundary(template, noise, thresholds, points[inside], points[outside])
+        return Boundary(points[inside].gradient, open=False, limit=points[outside].first_failure())
 
     lo, hi = best
     return SweepResult(gradients=gradients, points=points, range_indices=best,
@@ -425,22 +418,23 @@ def find_boundary(margin, passing: float, failing: float, width: float,
     return 0.5 * (passing + failing)
 
 
-def refine_boundary(template: SweepTemplate, noise: NoiseConfig,
-                    thresholds: Thresholds, passing: float, failing: float,
-                    m_passing: float, m_failing: float):
-    """Root-find a pass/fail boundary, with end margins known, to REFINE_SIG_FIGS
-    significant figures.  Returns (boundary_gradient, (initial_state, qubit)):
-    the first failure at the final failing end, None if that is `failing`.
-    """
-    limit = None
+def refine_boundary(template: SweepTemplate, noise: NoiseConfig, thresholds: Thresholds,
+                    passing: PointResult, failing: PointResult) -> Boundary:
+    """The closed `Boundary` between a passing and a failing grid point.
 
+    `find_boundary` root-finds the margin between them, starting from their
+    stored margins, to REFINE_SIG_FIGS significant figures.  Each failing
+    point it evaluates replaces `failing`, whose first failure is the limit.
+    """
     def margin(gradient):
-        nonlocal limit
+        nonlocal failing
         point = evaluate_point(coherent_point(template, gradient), noise, thresholds)
         if not point.passed:
-            limit = point.first_failure()
+            failing = point
         return point.margin
 
-    scale = 10.0 ** (math.floor(math.log10(max(abs(passing), abs(failing))))
+    scale = 10.0 ** (math.floor(math.log10(max(abs(passing.gradient), abs(failing.gradient))))
                      - REFINE_SIG_FIGS + 1)
-    return find_boundary(margin, passing, failing, 0.5 * scale, m_passing, m_failing), limit
+    gradient = find_boundary(margin, passing.gradient, failing.gradient, 0.5 * scale,
+                             passing.margin, failing.margin)
+    return Boundary(gradient, open=False, limit=failing.first_failure())

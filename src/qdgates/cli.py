@@ -190,6 +190,11 @@ def write_manifest(spec: RunSpec, out_dir: Path, outputs: list,
 def run(spec: RunSpec, out_dir: Path) -> list:
     """Validate and execute a RunSpec; returns the list of written files."""
     validate_spec(spec)
+    return _execute(spec, out_dir)
+
+
+def _execute(spec: RunSpec, out_dir: Path) -> list:
+    """Execute a validated RunSpec; returns the list of written files."""
     out_dir.mkdir(parents=True, exist_ok=True)
     extras = {}
     if spec.mode == "simulate":
@@ -239,7 +244,7 @@ def main(argv=None) -> int:
         return 1
     out_dir = Path(args.out) if args.out else Path(spec.output_dir)
     try:
-        outputs = run(spec, out_dir)
+        outputs = _execute(spec, out_dir)   # parse_config validated the spec
     except Exception as exc:  # propagate any solver/model failure as exit code
         print(f"error: {exc}", file=sys.stderr)
         return 1

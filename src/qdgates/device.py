@@ -241,12 +241,6 @@ def static_eigensystem(cfg: DeviceConfig) -> EigenSystem:
     return eigensystem(static_hamiltonian(cfg))
 
 
-def resonance_frequency(eig: EigenSystem, transition: tuple) -> float:
-    """Unsigned energy gap |w_a - w_b| between two labeled eigenstates."""
-    a, b = transition
-    return abs(eig.energy_of(a) - eig.energy_of(b))
-
-
 def gate_transition(cfg: DeviceConfig) -> tuple:
     """Label pair (all controls up, target flipped) addressed by the drive."""
     up = "u" * cfg.n_qubits

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import sigma_z_string
-from .operators import skew
+from .operators import kron, skew
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
@@ -96,12 +96,6 @@ def lindblad_rhs(h: np.ndarray, collapse, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two d x d matrices, by broadcasting."""
-    d = a.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
-
-
 def _check_hermitian(h: np.ndarray, scale: float) -> None:
     """Raise SolverError if H deviates from Hermitian by more than
     HERMITIZATION_TOL of `scale`, the generator's largest entry."""
@@ -126,7 +120,7 @@ def liouvillian(h: np.ndarray, collapse) -> np.ndarray:
                           optimize=True).reshape(d * d, d * d)
     else:
         k, jumps = h, 0.0
-    lv = _kron(-1j * k, eye) + _kron(eye, 1j * k.conj()) + jumps
+    lv = kron(-1j * k, eye) + kron(eye, 1j * k.conj()) + jumps
     _check_hermitian(h, np.abs(lv).max())
     return lv
 

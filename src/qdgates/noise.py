@@ -2,16 +2,18 @@
 
 Rates are expressed in inverse model time units (see device module for the
 time unit).  Two relaxation channels act between eigenstates of the
-drive-free Hamiltonian:
+drive-free Hamiltonian.  Both rate laws take a signed gap w: +w gives
+the bare rate, -w the thermally weighted reverse, and rate(+w)/rate(-w)
+= exp(w/t_k).
 
 * hyperfine: Gaussian in the transition gap with width delta_e_nuc,
-  rate_down(w) = upsilon * exp(-w^2 / (2 delta_e_nuc^2));
+  rate(w) = upsilon * exp(-w^2 / (2 delta_e_nuc^2) + min(w, 0) / t_k);
 * phonon:    rate(w, E) = p * | w^3 E^2 / (1 - exp(-w / t_k)) |, steeply
   growing with the gap.
 
 Each unordered eigenstate pair (j < k in ascending energy order)
-contributes one '+' operator per channel, sqrt(rate) |w_k><w_j|, and one
-'-' operator, sqrt(rate * exp(-gap / t_k)) |w_j><w_k|.  In this model the
+contributes one '+' operator per channel, sqrt(rate(gap)) |w_k><w_j|, and
+one '-' operator, sqrt(rate(-gap)) |w_j><w_k|.  In this model the
 '+' channel (no thermal factor) populates the *higher* of the two levels,
 and its Boltzmann-weighted reverse drains it; at gaps large compared to
 t_k the '+' rates dominate, so the low-lying spin configurations are the
@@ -81,27 +83,16 @@ class NoiseConfig:
                        phonon_p=self.phonon_p * factor)
 
 
-def hyperfine_rate_down(omega, upsilon: float, delta_e_nuc: float):
-    """Hyperfine rate without thermal factor across gaps omega > 0 (scalar or array)."""
-    if np.any(omega <= 0):
-        raise ValueError("gap must be positive")
-    return upsilon * np.exp(-omega * omega / (2.0 * delta_e_nuc * delta_e_nuc))
-
-
-def hyperfine_rate_up(omega, upsilon: float, delta_e_nuc: float, t_k: float):
-    """Boltzmann-weighted hyperfine rate: rate_down(omega) * exp(-omega/t_k)."""
-    if np.any(omega <= 0):
-        raise ValueError("gap must be positive")
-    return upsilon * np.exp(-omega * omega / (2.0 * delta_e_nuc * delta_e_nuc)
-                            - omega / t_k)
+def hyperfine_rate(omega_signed, upsilon: float, delta_e_nuc: float, t_k: float):
+    """Hyperfine rate for signed gaps: the Gaussian, times exp(w/t_k) for w < 0."""
+    if np.any(omega_signed == 0):
+        raise ValueError("hyperfine rate needs a nonzero gap")
+    return upsilon * np.exp(-omega_signed * omega_signed / (2.0 * delta_e_nuc * delta_e_nuc)
+                            + np.minimum(omega_signed, 0.0) / t_k)
 
 
 def phonon_rate(omega_signed, energy, p: float, t_k: float):
-    """Phonon rate for signed gaps; one formula serves both directions.
-
-    Positive omega gives the dominant rate, negative omega the thermally
-    suppressed reverse; the pair satisfies rate(+w)/rate(-w) = exp(w/t_k).
-    """
+    """Phonon rate for signed gaps, in the sign convention of the module docstring."""
     if np.any(omega_signed == 0):
         raise ValueError("phonon rate is singular at zero gap")
     # -expm1(-x) = 1 - exp(-x) without cancellation for small |x|; where
@@ -218,8 +209,8 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
     channels, rates = (), []
     if noise.hyperfine:
         channels += ("hyperfine",)
-        rates += [hyperfine_rate_down(gap, noise.upsilon, noise.delta_e_nuc),
-                  hyperfine_rate_up(gap, noise.upsilon, noise.delta_e_nuc, noise.t_k)]
+        rates += [hyperfine_rate(gap, noise.upsilon, noise.delta_e_nuc, noise.t_k),
+                  hyperfine_rate(-gap, noise.upsilon, noise.delta_e_nuc, noise.t_k)]
     if noise.phonon:
         if noise.phonon_e_mode == "gap":
             energy = gap

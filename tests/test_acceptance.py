@@ -31,8 +31,7 @@ from qdgates.lindblad import Trajectory, evolve, expm_oracle, propagate
 from qdgates.noise import (
     NoiseConfig,
     build_collapse_set,
-    hyperfine_rate_down,
-    hyperfine_rate_up,
+    hyperfine_rate,
     phonon_rate,
 )
 from qdgates.operators import SIGMA_Z, basis_density, index_to_label, label_to_index
@@ -89,14 +88,12 @@ def test_criterion_03_detailed_balance():
     rng = np.random.default_rng(7)
     t_k = 10.0
     delta_wide = 400.0  # keeps the Gaussian representable over the gap range
+    laws = (lambda w: hyperfine_rate(w, 1.0, delta_wide, t_k),
+            lambda w: phonon_rate(w, abs(w), 1.0, t_k))
     for omega in rng.uniform(1e-3, 100.0 * t_k, size=100):
         boltzmann = math.exp(-omega / t_k)
-        hf = hyperfine_rate_up(omega, 1.0, delta_wide, t_k) / \
-            hyperfine_rate_down(omega, 1.0, delta_wide)
-        ph = phonon_rate(-omega, omega, 1.0, t_k) / \
-            phonon_rate(omega, omega, 1.0, t_k)
-        assert abs(hf - boltzmann) <= 1e-12 * boltzmann
-        assert abs(ph - boltzmann) <= 1e-12 * boltzmann
+        for rate in laws:
+            assert abs(rate(-omega) / rate(omega) - boltzmann) <= 1e-12 * boltzmann
 
     # stationary two-level populations from one detailed-balance pair
     omega = 10.0

@@ -664,6 +664,8 @@ class TestRangeExtraction:
     """`run_sweep`'s range and boundaries from fake margin tables on a grid 1, 2, ..., n."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
+    # refined_limit=None: refinement found no new failing point, so the grid
+    # neighbour's limit holds
     @example(passing=[True, False, True], refine=True, refined_limit=None)
     @example(passing=[False, True, True, False, True, True, False], refine=True,
              refined_limit=("uu", 1))
@@ -683,11 +685,10 @@ class TestRangeExtraction:
 
         refined = []
 
-        def fake_refine(template, noise, thresholds, inside, outside, m_inside, m_outside):
-            # the ends' margins come from the grid points, not new evaluations
-            assert (m_inside, m_outside) == (inside, -outside)
+        def fake_refine(template, noise, thresholds, inside, outside):
             refined.append((inside, outside))
-            return 0.5 * (inside + outside), refined_limit
+            return analysis.Boundary(0.5 * (inside.gradient + outside.gradient), open=False,
+                                     limit=refined_limit or outside.first_failure())
 
         gradients = np.arange(1.0, len(passing) + 1.0)
         with pytest.MonkeyPatch.context() as mp:
@@ -712,13 +713,44 @@ class TestRangeExtraction:
                 continue
             neighbour = (index_to_label(outside % 4, 2), outside % 2)
             if refine:
-                want_refined.append((gradients[inside], gradients[outside]))
+                # the grid points themselves, not new evaluations
+                want_refined.append((result.points[inside], result.points[outside]))
                 assert end.gradient == 0.5 * (gradients[inside] + gradients[outside])
                 assert end.limit == (refined_limit or neighbour)
             else:
                 assert end.gradient == gradients[inside]
                 assert end.limit == neighbour
         assert refined == want_refined
+
+    @pytest.mark.parametrize("inner_fails", [True, False])
+    def test_refine_boundary_limit_is_the_last_failing_point(self, inner_fails):
+        # the grid points 1 (passes) and 2 (fails at cell ("dd", 1)) bracket
+        # the boundary; an evaluated point fails at cell ("ud", 0) from 1.3 up.
+        # When no evaluated point fails, the grid neighbour's limit holds.
+        def point(gradient, margin, cell):
+            margins = np.ones((4, 2))
+            if margin <= 0:
+                margins[cell] = margin
+            return PointResult(gradient=gradient, t_flip=1.0, gate="cnot",
+                               p_up=np.zeros((4, 2)), margins=margins)
+
+        evaluated = []
+
+        def fake_point(gradient, noise, thresholds):
+            evaluated.append(gradient)
+            return point(gradient, 1.3 - gradient if inner_fails else 1.0, (1, 0))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "coherent_point", lambda template, gradient: gradient)
+            mp.setattr(analysis, "evaluate_point", fake_point)
+            end = analysis.refine_boundary(None, None, None, point(1.0, 1.0, None),
+                                           point(2.0, -1.0, (3, 1)))
+        assert not end.open and 1.0 < end.gradient < 2.0 and evaluated
+        if inner_fails:
+            assert end.gradient == pytest.approx(1.3, abs=5e-3)
+            assert end.limit == ("ud", 0)
+        else:
+            assert all(g > 1.0 for g in evaluated) and end.limit == ("dd", 1)
 
 
 def bisect_by_halving(passes, passing, failing, width):

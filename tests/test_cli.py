@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from qdgates import cli, config
 from qdgates.cli import build_parser, main, run
-from qdgates.config import ConfigError, RunSpec
+from qdgates.config import ConfigError, RunSpec, validate_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -361,6 +362,20 @@ class TestCliErrors:
             run(spec, tmp_path / "out")
         assert err.value.key == "device.gate"
         assert not (tmp_path / "out").exists()
+
+    def test_main_validates_once(self, tmp_path):
+        # parse_config validates the spec, and main runs it without a second check
+        calls = []
+
+        def counting(spec, lines=None):
+            calls.append(spec)
+            return validate_spec(spec, lines)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(config, "validate_spec", counting)
+            mp.setattr(cli, "validate_spec", counting)
+            run_cli(tmp_path, "swpc", SWEEP_CNOT_CFG, "sweep")
+        assert len(calls) == 1
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1

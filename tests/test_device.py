@@ -13,7 +13,6 @@ from qdgates.device import (
     field_to_energy,
     gate_transition,
     resolve_drive,
-    resonance_frequency,
     static_eigensystem,
     static_hamiltonian,
     toffoli_config,
@@ -175,32 +174,25 @@ class TestHamiltonianTerms:
 class TestResonance:
     def test_bare_gap_matches_double_zeeman(self):
         cfg = cnot_cfg(exchange=(0.0,), b_ac=0.0)
-        eig = static_eigensystem(cfg)
-        gap = resonance_frequency(eig, ("uu", "ud"))
+        gap = abs(resolve_drive(cfg).drive_frequency)
         assert gap == pytest.approx(2 * cfg.zeeman_energies[1], rel=1e-12)
-
-    def test_symmetric(self):
-        eig = static_eigensystem(cnot_cfg())
-        assert resonance_frequency(eig, ("uu", "ud")) == \
-            resonance_frequency(eig, ("ud", "uu"))
 
     def test_toffoli_bare_gap(self):
         cfg = toffoli_config(0.1, 0.2, j12=0.0, j23=0.0, b_ac=0.0)
-        eig = static_eigensystem(cfg)
-        gap = resonance_frequency(eig, ("uuu", "udu"))
+        gap = abs(resolve_drive(cfg).drive_frequency)
         assert gap == pytest.approx(2 * cfg.zeeman_energies[1], rel=1e-12)
 
     def test_auto_resolution_magnitude_and_sign(self):
         cnot = resolve_drive(cnot_cfg())
         eig = static_eigensystem(cnot)
         assert abs(cnot.drive_frequency) == pytest.approx(
-            resonance_frequency(eig, ("uu", "ud")), rel=1e-12)
+            abs(eig.energy_of("uu") - eig.energy_of("ud")), rel=1e-12)
         assert cnot.drive_frequency < 0  # two-spin chain, positive Zeeman sign
         toff = resolve_drive(toffoli_config(0.1, 0.3, j12=0.42, j23=0.42,
                                             b_ac=0.004))
         eig3 = static_eigensystem(toff)
         assert abs(toff.drive_frequency) == pytest.approx(
-            resonance_frequency(eig3, ("uuu", "udu")), rel=1e-12)
+            abs(eig3.energy_of("uuu") - eig3.energy_of("udu")), rel=1e-12)
         assert toff.drive_frequency > 0  # three-spin chain, negative Zeeman sign
 
     @pytest.mark.parametrize("cfg", [
@@ -220,7 +212,7 @@ class TestResonance:
     def test_unlabeled_transition_rejected(self):
         eig = static_eigensystem(cnot_cfg())
         with pytest.raises(KeyError):
-            resonance_frequency(eig, ("uu", "xx"))
+            eig.energy_of("xx")
 
 
 class TestEnergyOrdering:
