@@ -41,7 +41,7 @@ from .operators import EigenSystem, index_to_label, label_to_index, n_qubits_of,
 
 FLIP_WINDOW_FACTOR = 4.0
 FLIP_SAMPLES = 2000        # evenly spaced times of the flip-time scan
-FLIP_BLOCK = 256           # samples evaluated at a time by the scan
+FLIP_BLOCK = 512           # samples evaluated at a time by the scan
 REFINE_SIG_FIGS = 3        # significant figures of a refined boundary
 
 
@@ -132,8 +132,8 @@ def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
     times = np.linspace(0.0, window, FLIP_SAMPLES)
 
     def p_up(start, stop):
-        amplitudes = weights @ np.exp(-1j * np.outer(energies, times[start:stop]))
-        return np.sum(np.abs(amplitudes) ** 2, axis=0)
+        amplitudes = weights @ np.exp(-1j * (energies[:, None] * times[start:stop]))
+        return (np.abs(amplitudes) ** 2).sum(axis=0)
 
     idx = _scan_first_minimum(p_up, FLIP_SAMPLES)
     if idx is None:
@@ -149,8 +149,7 @@ def _up_amplitudes(cfg: DeviceConfig, h_rwa: np.ndarray) -> tuple:
     the rows r are the basis states whose target spin is up.
     """
     energies, vectors = np.linalg.eigh(h_rwa)
-    up = up_mask(cfg.n_qubits)[:, device.TARGET_QUBIT]
-    return energies, (vectors * vectors[0].conj())[up]
+    return energies, vectors[up_mask(cfg.n_qubits)[:, device.TARGET_QUBIT]] * vectors[0].conj()
 
 
 def _first_minimum_below_half(pops: np.ndarray):
@@ -174,17 +173,17 @@ def _scan_first_minimum(p_up, samples: int):
     return None
 
 
-def _p_up_slopes(energies: np.ndarray, weights: np.ndarray, t: float) -> tuple:
-    """Closed-form (dP_up/dt, d2P_up/dt2) at time `t`.
+def _p_up_slopes(minus_ie, minus_e2, weights: np.ndarray, t: float) -> tuple:
+    """Closed-form (dP_up/dt, d2P_up/dt2) at time `t`, given -iE and -E^2.
 
     With a = sum w e^{-iEt}, a' = sum w (-iE) e^{-iEt} and
     a'' = sum w (-E^2) e^{-iEt} per row: P' = 2 Re sum conj(a) a' and
     P'' = 2 sum (|a'|^2 + Re conj(a) a'').
     """
-    phases = np.exp(-1j * energies * t)
+    phases = np.exp(minus_ie * t)
     a = weights @ phases
-    a1 = weights @ (-1j * energies * phases)
-    a2 = weights @ (-energies ** 2 * phases)
+    a1 = weights @ (minus_ie * phases)
+    a2 = weights @ (minus_e2 * phases)
     return (2.0 * np.vdot(a, a1).real,
             2.0 * (np.vdot(a1, a1).real + np.vdot(a, a2).real))
 
@@ -201,8 +200,9 @@ def _stationary_point(energies, weights, lo: float, hi: float, t: float) -> floa
     """
     xtol = 1e-10 * hi
     step_old = step = hi - lo
+    minus_ie, minus_e2 = -1j * energies, -energies ** 2
     while True:
-        slope, curvature = _p_up_slopes(energies, weights, t)
+        slope, curvature = _p_up_slopes(minus_ie, minus_e2, weights, t)
         lo, hi = (t, hi) if slope < 0.0 else (lo, t)
         newton = slope / curvature if curvature > 0.0 else math.inf
         if lo <= t - newton <= hi and abs(2.0 * newton) <= abs(step_old):
@@ -317,22 +317,30 @@ def coherent_point(template: SweepTemplate, gradient: float) -> CoherentPoint:
     try:
         cfg, eig, h = coherent_model(template.config(gradient))
         return CoherentPoint(float(gradient), cfg, eig, h, flip_time(cfg, h_rwa=h))
-    except (ValueError, FlipTimeError) as exc:
-        raise type(exc)(f"gradient {gradient} T: {exc}") from exc
+    except (ValueError, KeyError, FlipTimeError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
+        raise type(exc)(f"gradient {gradient} T: {detail}") from exc
 
 
 def evaluate_point(point: CoherentPoint, noise: NoiseConfig,
                    thresholds: Thresholds) -> PointResult:
     """Classify every basis state propagated to the flip time; failures name the gradient."""
-    cfg, basis = point.cfg, np.eye(point.cfg.dim)
+    cfg = point.cfg
     try:
         finals = propagate(point.h_rwa, collapse_model(cfg, point.eig, noise),
-                           np.einsum("ki,kj->kij", basis, basis), point.t_flip)[:, -1]
+                           _basis_states(cfg.dim), point.t_flip)[:, -1]
     except (ValueError, SolverError) as exc:
         raise type(exc)(f"gradient {point.gradient} T: {exc}") from exc
     (p_up := populations_up(finals)).setflags(write=False)
     return PointResult(gradient=point.gradient, t_flip=point.t_flip, gate=cfg.gate,
                        p_up=p_up, margins=classify(p_up, cfg.gate, thresholds))
+
+
+@functools.cache
+def _basis_states(dim: int) -> np.ndarray:
+    """Read-only complex stack of the `dim` basis density matrices, in index order."""
+    (states := np.einsum("ki,kj->kij", *[np.eye(dim, dtype=complex)] * 2)).setflags(write=False)
+    return states
 
 
 def _basis_zeeman(cfg: DeviceConfig) -> np.ndarray:

@@ -33,7 +33,7 @@ from .config import AUTO, GATE_KEYS, ConfigError, RunSpec, parse_config, sweep_a
 from .device import LAYOUTS, DeviceConfig
 from .lindblad import propagate
 from .noise import NoiseConfig
-from .operators import basis_density, index_to_label
+from .operators import basis_density, basis_labels
 
 
 def _fmt(x: float) -> str:
@@ -104,8 +104,7 @@ def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> None:
         fh.write("gradient_T,initial_state,qubit_role,P_up,verdict\n")
         for point in result.points:
             passed = (point.margins > 0.0).all(axis=1)
-            for k, (p_up, ok) in enumerate(zip(point.p_up, passed)):
-                initial = index_to_label(k, len(roles))
+            for initial, p_up, ok in zip(basis_labels(len(roles)), point.p_up, passed):
                 for role, p in zip(roles, p_up):
                     fh.write(f"{_fmt(point.gradient)},{initial},{role},{_fmt(p)},"
                              f"{'pass' if ok else 'fail'}\n")

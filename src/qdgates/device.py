@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -181,22 +182,35 @@ def toffoli_config(b_left: float, gradient: float, *, j12: float, j23: float,
                        drive_frequency=drive_frequency)
 
 
+@cache
+def _chain_terms(n: int) -> np.ndarray:
+    """Read-only stack of the n-spin chain's operators in `_spin_hamiltonian`
+    order: sigma_a^q sigma_a^(q+1) for each bond q and a = x, y, z, then sigma_z^q."""
+    (terms := np.array([embed_pauli(axis, bond, n) @ embed_pauli(axis, bond + 1, n)
+                        for bond in range(n - 1) for axis in "xyz"]
+                       + [embed_pauli("z", q, n) for q in range(n)])).setflags(write=False)
+    return terms
+
+
+@cache
+def _pauli_sum(axis: str, n_qubits: int) -> np.ndarray:
+    """Read-only sum_q sigma_axis^q, the drive's operator on every qubit."""
+    (op := sum(embed_pauli(axis, q, n_qubits) for q in range(n_qubits))).setflags(write=False)
+    return op
+
+
 def _spin_hamiltonian(cfg: DeviceConfig, shift: float = 0.0) -> np.ndarray:
     """Exchange chain plus sum_q (s*e_q + shift) sigma_z^q.
 
     s is the chain's Zeeman sign and e_q the static Zeeman energy of qubit
     q.  Every frame is built on this one term: shift 0 for the drive-free
-    and lab-frame Hamiltonians, omega/2 in the rotating frame.
+    and lab-frame Hamiltonians, omega/2 in the rotating frame.  The scaled
+    terms of `_chain_terms` are summed in their order, starting from zero.
     """
-    n = cfg.n_qubits
-    h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for bond, j in enumerate(cfg.exchange):
-        for axis in "xyz":
-            h += j * (embed_pauli(axis, bond, n) @ embed_pauli(axis, bond + 1, n))
     s = cfg.layout.zeeman_sign
-    for q, e in enumerate(cfg.zeeman_energies):
-        h += (s * e + shift) * embed_pauli("z", q, n)
-    return h
+    coefficients = np.array([j for j in cfg.exchange for _ in "xyz"]
+                            + [s * e + shift for e in cfg.zeeman_energies])
+    return np.add.reduce(coefficients[:, None, None] * _chain_terms(cfg.n_qubits), initial=0j)
 
 
 def static_hamiltonian(cfg: DeviceConfig) -> np.ndarray:
@@ -209,8 +223,7 @@ def build_hamiltonian_lab(cfg: DeviceConfig):
     if not cfg.resolved():
         raise ValueError("drive frequency is unresolved; call resolve_drive first")
     omega, b = float(cfg.drive_frequency), cfg.drive_energy
-    n = cfg.n_qubits
-    sx, sy = (sum(embed_pauli(axis, q, n) for q in range(n)) for axis in "xy")
+    sx, sy = (_pauli_sum(axis, cfg.n_qubits) for axis in "xy")
     static = _spin_hamiltonian(cfg)
 
     def h(t: float) -> np.ndarray:
@@ -230,9 +243,8 @@ def build_hamiltonian_rwa(cfg: DeviceConfig) -> np.ndarray:
     """
     if not cfg.resolved():
         raise ValueError("drive frequency is unresolved; call resolve_drive first")
-    n = cfg.n_qubits
     h = _spin_hamiltonian(cfg, float(cfg.drive_frequency) / 2.0)
-    h -= cfg.drive_energy * sum(embed_pauli("x", q, n) for q in range(n))
+    h -= cfg.drive_energy * _pauli_sum("x", cfg.n_qubits)
     return h
 
 

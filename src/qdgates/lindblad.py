@@ -132,10 +132,18 @@ def _real_liouvillian(lv: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _hermitian_indices(d: int) -> tuple:
-    """Read-only vec indices (diag, up, lo) = (k(d+1), kd+l, ld+k), k < l."""
+def _hermitian_gathers(d: int) -> tuple:
+    """Read-only gathers of real coordinates x, with vec indices diag, up, lo =
+    k(d+1), kd+l, ld+k (k < l): vec entries (diag, up), read by `_to_real`; each
+    vec entry's (Re, Im) indices into [x, -x_Im, 0], read by `_from_real`; flat
+    indices of rows (diag, up) x columns (diag, up, lo) of L, read by `_generator`."""
     k, l = np.triu_indices(d, 1)
-    out = (np.arange(d) * (d + 1), k * d + l, l * d + k)
+    diag, up, lo = np.arange(d) * (d + 1), k * d + l, l * d + k
+    picks, n, p = np.concatenate((diag, up)), d * d, len(up)
+    fills = np.full((n, 2), n + p)                  # Im of the diagonal reads the 0
+    fills[picks, 0], fills[lo, 0] = np.arange(d + p), np.arange(d, d + p)
+    fills[up, 1], fills[lo, 1] = np.arange(d + p, n), np.arange(n, n + p)
+    out = (picks, fills.ravel(), picks[:, None] * n + np.concatenate((diag, up, lo)))
     for a in out:
         a.flags.writeable = False
     return out
@@ -143,20 +151,16 @@ def _hermitian_indices(d: int) -> tuple:
 
 def _to_real(rho: np.ndarray) -> np.ndarray:
     """(..., d, d) -> (..., d^2): the diagonal, then Re and Im of the upper triangle."""
-    diag, up, _ = _hermitian_indices(rho.shape[-1])
-    vec = rho.reshape(*rho.shape[:-2], -1)
-    return np.concatenate((vec[..., diag].real, vec[..., up].real, vec[..., up].imag), axis=-1)
+    d = rho.shape[-1]
+    picked = rho.reshape(*rho.shape[:-2], -1).take(_hermitian_gathers(d)[0], axis=-1)
+    return np.concatenate((picked.real, picked[..., d:].imag), axis=-1)
 
 
 def _from_real(x: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian (..., d, d) matrices of real coordinates (..., d^2)."""
-    diag, up, lo = _hermitian_indices(d)
-    vec = np.zeros((*x.shape[:-1], d * d), dtype=complex)
-    vec.real[..., diag] = x[..., :d]
-    vec.real[..., up] = vec.real[..., lo] = x[..., d:d + len(up)]
-    vec.imag[..., up] = x[..., d + len(up):]
-    vec.imag[..., lo] = -x[..., d + len(up):]
-    return vec.reshape(*x.shape[:-1], d, d)
+    lead = x.shape[:-1]
+    x = np.concatenate((x, -x[..., (d * d + d) // 2:], np.zeros((*lead, 1))), axis=-1)
+    return x.take(_hermitian_gathers(d)[1], axis=-1).view(complex).reshape(*lead, d, d)
 
 
 def _generator(h: np.ndarray, collapse) -> tuple:
@@ -183,29 +187,33 @@ def _generator(h: np.ndarray, collapse) -> tuple:
                            d * d).reshape(d, d)
     vh = v.conj().T
     k = vh @ h @ v
-    k[np.diag_indices(d)] -= 0.5j * transfer.sum(axis=0)
+    levels = np.arange(d)
+    k[levels, levels] -= 0.5j * transfer.sum(axis=0)
     z = vh @ sigma_z_string(d) @ v
     k -= 0.5j * gamma_phi * (z.conj().T @ z)
     # m[i, a, j, b] is the complex part's entry at row (i, a), column (j, b)
     m = gamma_phi * z[:, None, :, None] * z.conj()[None, :, None, :]
-    levels = np.arange(d)
     m[:, levels, :, levels] += -1j * k            # -i K' (x) I
     m[levels, :, levels, :] += 1j * k.conj()      # i I (x) conj(K')
-    diag, up, lo = _hermitian_indices(d)
-    m = m.reshape(d * d, d * d)[np.concatenate((diag, up))]
-    m_up, m_lo = m[:, up], m[:, lo]
-    cols = np.concatenate((m[:, diag], m_up + m_lo, 1j * (m_up - m_lo)), axis=1)
+    m, pairs = m.take(_hermitian_gathers(d)[2]), d * (d - 1) // 2
+    m_up, m_lo = m[:, d:d + pairs], m[:, d + pairs:]
+    cols = np.concatenate((m[:, :d], m_up + m_lo, 1j * (m_up - m_lo)), axis=1)
     g = np.concatenate((cols.real, cols[d:].imag))
     g[:d, :d] += transfer
     _check_hermitian(h, np.abs(g).max())
     return g, v
 
 
-def _check_physical(states: np.ndarray, where: str) -> None:
-    """Raise SolverError if a state has an eigenvalue below EIG_FLOOR, or NaN."""
+def _propagation_error(t_end: float, what: str) -> SolverError:
+    return SolverError(f"propagation to t = {t_end:.6g}: {what}")
+
+
+def _check_physical(states: np.ndarray, t_end: float) -> None:
+    """Raise SolverError if a state propagated to `t_end` has an eigenvalue
+    below EIG_FLOOR, or NaN."""
     least = np.linalg.eigvalsh(states).min()
     if not least >= EIG_FLOOR:              # also catches NaN
-        raise SolverError(f"{where}: least eigenvalue {least:.3e} below {EIG_FLOOR}")
+        raise _propagation_error(t_end, f"least eigenvalue {least:.3e} below {EIG_FLOOR}")
 
 
 def expm_oracle(h: np.ndarray, collapse, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -297,16 +305,15 @@ def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
         coords[0] = _to_real(vh @ rho0s @ v).T
         for k in range(1, samples):
             coords[k] = step @ coords[k - 1]
-    where = f"propagation to t = {t_end:.6g}"
     if not np.isfinite(coords).all():
         what = "state" if np.isfinite(step).all() else "step exp(L dt)"
-        raise SolverError(f"{where}: non-finite {what}")
+        raise _propagation_error(t_end, f"non-finite {what}")
     coords = coords.transpose(2, 0, 1)
     drift = np.abs(coords[..., :d].sum(axis=-1) - 1.0).max()
     if drift > TRACE_TOL:
-        raise SolverError(f"{where}: trace drift {drift:.3e} exceeds {TRACE_TOL}")
+        raise _propagation_error(t_end, f"trace drift {drift:.3e} exceeds {TRACE_TOL}")
     states = v @ _from_real(coords, d) @ vh
-    _check_physical(states[:, 1:], where)
+    _check_physical(states[:, 1:], t_end)
     return states
 
 

@@ -191,9 +191,9 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
                        zeeman_energies: np.ndarray = None) -> CollapseSet:
     """Rate table of all enabled channels for a nondegenerate spectrum.
 
-    Each rate formula is evaluated once per channel over all eigenlevel
-    pairs j < k: '+' rows move j -> k at the bare rate, '-' rows k -> j
-    at the thermally weighted rate.  The phonon coupling energy E is the
+    Each rate law is called once per channel, on the gaps of all eigenlevel
+    pairs j < k and then their negatives: '+' rows move j -> k at the bare
+    rate, '-' rows k -> j at the thermally weighted rate.  The phonon coupling energy E is the
     transition gap itself in "gap" mode; "bare_zeeman" mode instead uses
     the Zeeman splitting of the labeled basis states, which requires
     `zeeman_energies` (per-basis-state diagonal Zeeman energies).
@@ -205,12 +205,12 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
 
     lo, hi = _level_pairs(eig.dim)
     gap = eig.energies[hi] - eig.energies[lo]
-    # per enabled channel, the '+' and the '-' rates over all pairs
+    signed = np.concatenate((gap, -gap))
+    # per enabled channel, the '+' then the '-' rates over all pairs
     channels, rates = (), []
     if noise.hyperfine:
         channels += ("hyperfine",)
-        rates += [hyperfine_rate(gap, noise.upsilon, noise.delta_e_nuc, noise.t_k),
-                  hyperfine_rate(-gap, noise.upsilon, noise.delta_e_nuc, noise.t_k)]
+        rates.append(hyperfine_rate(signed, noise.upsilon, noise.delta_e_nuc, noise.t_k))
     if noise.phonon:
         if noise.phonon_e_mode == "gap":
             energy = gap
@@ -221,11 +221,11 @@ def build_collapse_set(eig: EigenSystem, noise: NoiseConfig,
             zeeman = np.asarray(zeeman_energies)[[label_to_index(x) for x in eig.labels]]
             energy = np.abs(zeeman[hi] - zeeman[lo])
         channels += ("phonon",)
-        rates += [phonon_rate(gap, energy, noise.phonon_p, noise.t_k),
-                  phonon_rate(-gap, energy, noise.phonon_p, noise.t_k)]
+        rates.append(phonon_rate(signed, np.concatenate((energy, energy)),
+                                 noise.phonon_p, noise.t_k))
     # rows pair by pair, as `_row_layout` orders them; rates below
     # RATE_FLOOR are clamped to zero
-    rate = np.array(rates).T.ravel()
+    rate = np.reshape(rates, (-1, len(gap))).T.ravel()
     rate = np.where(rate >= RATE_FLOOR, rate, 0.0)
     if noise.dephasing:
         rate = np.append(rate, 1.0 / (2.0 * noise.t2_star))

@@ -71,10 +71,15 @@ def index_to_label(index: int, n_qubits: int) -> str:
 
 
 @cache
+def basis_labels(n_qubits: int) -> tuple:
+    """`index_to_label` of every basis index, in index order."""
+    return tuple(index_to_label(k, n_qubits) for k in range(1 << n_qubits))
+
+
+@cache
 def up_mask(n_qubits: int) -> np.ndarray:
     """Read-only (2**n, n) boolean mask: [k, q] is True when qubit q is up in state k."""
-    mask = np.array([[ch == "u" for ch in index_to_label(k, n_qubits)]
-                     for k in range(1 << n_qubits)])
+    mask = np.array([[ch == "u" for ch in label] for label in basis_labels(n_qubits)])
     mask.setflags(write=False)
     return mask
 
@@ -180,12 +185,10 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     if not is_hermitian(h):
         raise ValueError("eigensystem requires a Hermitian operator")
     energies, vectors = np.linalg.eigh(h)
-    n = n_qubits_of(h.shape[0])
-    labels = []
-    for k in range(h.shape[0]):
-        overlaps = np.abs(vectors[:, k]) ** 2
-        best = int(np.argmax(overlaps))
-        labels.append(index_to_label(best, n) if overlaps[best] > 0.5 else None)
+    overlaps = np.abs(vectors) ** 2
+    names = basis_labels(n_qubits_of(h.shape[0]))
+    labels = tuple(names[best] if found else None for best, found in
+                   zip(overlaps.argmax(axis=0).tolist(), (overlaps.max(axis=0) > 0.5).tolist()))
     energies.setflags(write=False)
     vectors.setflags(write=False)
-    return EigenSystem(energies=energies, vectors=vectors, labels=tuple(labels))
+    return EigenSystem(energies=energies, vectors=vectors, labels=labels)

@@ -210,8 +210,8 @@ class TestFlipTime:
         eps = np.finfo(float).eps
         phase_error = eps * (1.0 + np.abs(energies).max() * t)
         slope_roundoff = phase_error * np.sum(np.abs(weights) * np.abs(energies))
-        slope, curvature = _p_up_slopes(energies, weights, t)
-        golden_slope, _ = _p_up_slopes(energies, weights, golden_value)
+        slope, curvature = _p_up_slopes(*factors(energies), weights, t)
+        golden_slope, _ = _p_up_slopes(*factors(energies), weights, golden_value)
         assert curvature > 0.0
         assert abs(slope) <= slope_roundoff < 1e-2 * abs(golden_slope)
         # P_up differs by about P'' (t - golden)^2 / 2, far below its roundoff
@@ -226,9 +226,9 @@ class TestFlipTime:
         energies, weights = closed_form(cfg)
         h = 1e-5
         for t in (0.3, 1.1, 2.9):
-            slope, curvature = _p_up_slopes(energies, weights, t)
+            slope, curvature = _p_up_slopes(*factors(energies), weights, t)
             p_minus, p_plus = (p_up(energies, weights, t + s) for s in (-h, h))
-            slope_minus, slope_plus = (_p_up_slopes(energies, weights, t + s)[0]
+            slope_minus, slope_plus = (_p_up_slopes(*factors(energies), weights, t + s)[0]
                                        for s in (-h, h))
             assert slope == pytest.approx((p_plus - p_minus) / (2 * h), rel=1e-6, abs=1e-9)
             assert curvature == pytest.approx((slope_plus - slope_minus) / (2 * h),
@@ -241,7 +241,7 @@ class TestFlipTime:
         cfg = resolve_drive(LOW_ROW.config(0.1441))
         energies, weights = closed_form(cfg)
         t = flip_time(cfg)
-        slope, curvature = _p_up_slopes(energies, weights, t)
+        slope, curvature = _p_up_slopes(*factors(energies), weights, t)
         window = FLIP_WINDOW_FACTOR * math.pi / (2.0 * abs(cfg.drive_energy))
         times = np.linspace(0.0, window, FLIP_SAMPLES)
         idx = _first_minimum_below_half(p_up(energies, weights, times))
@@ -254,6 +254,11 @@ def closed_form(cfg):
     """(E, w) of the target's P_up for a resolved copy of `cfg`."""
     cfg = resolve_drive(cfg)
     return _up_amplitudes(cfg, build_hamiltonian_rwa(cfg))
+
+
+def factors(energies):
+    """The -iE and -E^2 that `_p_up_slopes` puts on each phase for P' and P''."""
+    return -1j * energies, -energies ** 2
 
 
 def p_up(energies, weights, t):
@@ -323,7 +328,9 @@ class TestBlockScan:
             pops[where] = 0.1
             assert _scan_first_minimum(lambda a, b: pops[a:b], FLIP_SAMPLES) == where
 
-    @pytest.mark.parametrize("start", [FLIP_BLOCK - 4, FLIP_BLOCK - 3, FLIP_BLOCK - 2])
+    # ids name the start by its place, not its index, which moves with FLIP_BLOCK
+    @pytest.mark.parametrize("start", [FLIP_BLOCK - 4, FLIP_BLOCK - 3, FLIP_BLOCK - 2],
+                             ids=["edge-4", "edge-3", "edge-2"])
     def test_plateau_across_a_block_edge_takes_its_first_sample(self, start):
         pops = np.full(FLIP_SAMPLES, 0.9)
         pops[start:start + 4] = 0.1
@@ -344,14 +351,16 @@ class TestBlockScan:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from([0.0, 0.2, 0.49, 0.5, 0.51, 0.9])
-                    | st.floats(0.0, 1.0), max_size=30),
-           st.integers(3, 8))
-    def test_any_block_size_matches_the_loop(self, values, block):
+                    | st.floats(0.0, 1.0), max_size=30))
+    def test_any_block_size_matches_the_loop(self, values):
+        # every block size from the least, 3, to one past a single block, so
+        # FLIP_BLOCK sets only how much is evaluated, never the index found
         pops = np.array(values, dtype=float)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "FLIP_BLOCK", block)
-            found = _scan_first_minimum(lambda a, b: pops[a:b], len(pops))
-        assert found == first_minimum_by_loop(pops)
+        want = first_minimum_by_loop(pops)
+        for block in range(3, len(pops) + 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(analysis, "FLIP_BLOCK", block)
+                assert _scan_first_minimum(lambda a, b: pops[a:b], len(pops)) == want
 
 
 def product_state(p_up_per_qubit):
@@ -581,6 +590,13 @@ class TestSweep:
                                  exchange=(0.0,))
         with pytest.raises(ValueError, match=r"gradient 0\.5 T: .*nondegenerate"):
             evaluate_point(coherent_point(template, 0.5), NoiseConfig(), Thresholds())
+
+    def test_unlabeled_gate_transition_names_the_gradient(self):
+        # at 5 mT on the Toffoli 0.25 T line no eigenstate is mostly udu, so
+        # the drive cannot be resolved; the KeyError's message says where
+        with pytest.raises(KeyError) as raised:
+            coherent_point(TOFFOLI_ROW, 0.005)
+        assert raised.value.args == ("gradient 0.005 T: no eigenstate labeled 'udu'",)
 
     def test_trace_drift_names_the_gradient(self):
         # at 1e8 times the calibrated rates the hyperfine-dominated row's

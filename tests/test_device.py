@@ -171,6 +171,41 @@ class TestHamiltonianTerms:
         np.testing.assert_array_equal(_basis_zeeman(cfg), reference)
 
 
+def spin_hamiltonian_by_embedding(cfg, shift=0.0):
+    """The chain Hamiltonian summed term by term from `embed_pauli`, in the
+    order the builders state: exchange bond by bond (x, y, z), then Zeeman."""
+    n = cfg.n_qubits
+    h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    for bond, j in enumerate(cfg.exchange):
+        for axis in "xyz":
+            h += j * (embed_pauli(axis, bond, n) @ embed_pauli(axis, bond + 1, n))
+    for q, e in enumerate(cfg.zeeman_energies):
+        h += (cfg.layout.zeeman_sign * e + shift) * embed_pauli("z", q, n)
+    return h
+
+
+class TestCachedTerms:
+    @pytest.mark.parametrize("cfg", [
+        cnot_config(1.0, 0.5, j=0.42, b_ac=0.004),
+        cnot_config(0.008, 0.02, j=0.0042, b_ac=4e-5, g=G_GAAS),
+        toffoli_config(0.25, 0.45, j12=0.42, j23=0.42, b_ac=0.004),
+        toffoli_config(0.1, 0.3, j12=0.42, j23=0.31, b_ac=0.004, g=G_GAAS),
+    ], ids=["cnot", "cnot-gaas", "toffoli", "toffoli-gaas"])
+    def test_hamiltonians_match_the_embedded_build_bit_for_bit(self, cfg):
+        cfg = resolve_drive(cfg)
+        n, omega, b = cfg.n_qubits, float(cfg.drive_frequency), cfg.drive_energy
+        drive = {axis: sum(embed_pauli(axis, q, n) for q in range(n)) for axis in "xy"}
+        static = spin_hamiltonian_by_embedding(cfg)
+        rwa = spin_hamiltonian_by_embedding(cfg, omega / 2.0)
+        rwa -= b * drive["x"]
+        t = 0.37
+        lab = static - b * (np.cos(omega * t) * drive["x"] - np.sin(omega * t) * drive["y"])
+        for got, want in ((static_hamiltonian(cfg), static), (build_hamiltonian_rwa(cfg), rwa),
+                          (build_hamiltonian_lab(cfg)(t), lab)):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()      # signed zeros too
+
+
 class TestResonance:
     def test_bare_gap_matches_double_zeeman(self):
         cfg = cnot_cfg(exchange=(0.0,), b_ac=0.0)

@@ -2,7 +2,8 @@
 top-level definition of the package is referenced, no package module
 branches on a gate name, every package name the benchmark harness wraps or
 calls resolves, and no CLI mode or calibration run loads scipy or takes a
-per-qubit partial trace.
+per-qubit partial trace.  Importing the CLI and the calibration fills no
+cache, and every cached table is read-only.
 
 No linter ships with the test dependencies, so this scans the syntax
 trees directly.  `from __future__` imports and the re-exports of the
@@ -11,10 +12,13 @@ package's `__init__.py` are exempt.
 import ast
 import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -231,3 +235,67 @@ def test_cli_runs_and_calibration_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "simulate" / "trajectory.csv").is_file()
     assert (tmp_path / "sweep" / "sweep_row0.csv").is_file()
     assert (tmp_path / "ranges" / "ranges.csv").is_file()
+
+
+CACHE_SIZES = """\
+import json, sys
+import qdgates.calibration, qdgates.cli
+print(json.dumps({f"{name}.{attr}": fn.cache_info().currsize
+                  for name, module in sorted(sys.modules.items()) if name.startswith("qdgates")
+                  for attr, fn in vars(module).items()
+                  if hasattr(fn, "cache_info") and fn.__module__ == name}))
+"""
+
+# every cached function of the package, with arguments that build its tables
+CACHED = {
+    "qdgates.analysis._basis_states": [(4,), (8,)],
+    "qdgates.analysis.expected_up": [("cnot",), ("toffoli",)],
+    "qdgates.cli.build_parser": [()],
+    "qdgates.device._chain_terms": [(2,), (3,)],
+    "qdgates.device._pauli_sum": [("x", 2), ("y", 3)],
+    "qdgates.lindblad._hermitian_gathers": [(4,), (8,)],
+    "qdgates.noise._level_pairs": [(4,), (8,)],
+    "qdgates.noise._row_layout": [(4, ("hyperfine", "phonon"), True), (8, ("phonon",), False)],
+    "qdgates.noise.sigma_z_string": [(4,), (8,)],
+    "qdgates.operators.basis_labels": [(2,), (3,)],
+    "qdgates.operators.embed_pauli": [("x", 0, 2), ("z", 2, 3)],
+    "qdgates.operators.up_mask": [(2,), (3,)],
+}
+
+
+def cached_functions() -> dict:
+    """Dotted name -> function of every `functools.cache` function the package defines."""
+    found = {}
+    for path in sorted(ROOT.glob("src/qdgates/*.py")):
+        if path.stem not in ("__init__", "__main__"):     # __main__ runs the CLI
+            name = f"qdgates.{path.stem}"
+            found.update({f"{name}.{attr}": fn
+                          for attr, fn in vars(importlib.import_module(name)).items()
+                          if hasattr(fn, "cache_info") and fn.__module__ == name})
+    return found
+
+
+def test_import_fills_no_cache():
+    # the benchmark's setup_s times this import in a fresh interpreter:
+    # every cached table is built by its first call, none at import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", CACHE_SIZES], env=env,
+                            check=True, capture_output=True, text=True)
+    sizes = json.loads(result.stdout)
+    assert set(sizes) == set(CACHED)
+    assert {name: size for name, size in sizes.items() if size} == {}
+
+
+def test_cached_tables_are_read_only():
+    # every caller shares a cached result, so none of its arrays may be written
+    functions = cached_functions()
+    assert set(functions) == set(CACHED)
+    writable = []
+    for name, calls in CACHED.items():
+        for args in calls:
+            result = functions[name](*args)
+            parts = result if isinstance(result, tuple) else (result,)
+            writable += [f"{name}{args}" for part in parts
+                         if isinstance(part, np.ndarray) and part.flags.writeable]
+    assert writable == []

@@ -250,13 +250,13 @@ class TestRealCoordinates:
 
     def test_physicality_floor(self):
         ok = np.diag([1.0 - 0.5 * EIG_FLOOR, 0.5 * EIG_FLOOR]).astype(complex)
-        _check_physical(ok[None], "here")
+        _check_physical(ok[None], 2.5)
         bad = np.diag([1.0 - 2.0 * EIG_FLOOR, 2.0 * EIG_FLOOR]).astype(complex)
-        with pytest.raises(SolverError, match="here: least eigenvalue"):
-            _check_physical(bad[None], "here")
+        with pytest.raises(SolverError, match="propagation to t = 2.5: least eigenvalue"):
+            _check_physical(bad[None], 2.5)
         # NaN compares False with any floor; the check must still fail
         with pytest.raises(SolverError, match="eigenvalue nan"):
-            _check_physical(np.full((1, 2, 2), np.nan, dtype=complex), "here")
+            _check_physical(np.full((1, 2, 2), np.nan, dtype=complex), 2.5)
 
 
 class TestPropagate:

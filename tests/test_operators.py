@@ -145,6 +145,33 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             eigensystem(h)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_labels_match_the_per_column_rule(self, rng, dim):
+        # diagonal levels plus a mixing term from weak to dominant, so that
+        # some spectra label every level and, above two levels, some none
+        counts = {"all": 0, "none": 0}
+        for scale in (1e-3, 0.1, 0.5, 2.0, 50.0):
+            for _ in range(20):
+                h = np.diag(rng.normal(size=dim) * 3.0) + random_hermitian(rng, dim, scale)
+                eig = eigensystem(h)
+                assert eig.labels == labels_by_column(eig.vectors)
+                counts["all"] += None not in eig.labels
+                counts["none"] += set(eig.labels) == {None}
+        # a two-level column always has an overlap of at least one half
+        assert counts["all"] > 0 and (counts["none"] > 0 or dim == 2)
+
+
+def labels_by_column(vectors):
+    """Each column's label by the rule `eigensystem` states: the basis label
+    of its largest overlap, or None unless that overlap exceeds one half."""
+    n = len(vectors).bit_length() - 1
+    labels = []
+    for k in range(len(vectors)):
+        overlaps = np.abs(vectors[:, k]) ** 2
+        best = int(np.argmax(overlaps))
+        labels.append(index_to_label(best, n) if overlaps[best] > 0.5 else None)
+    return tuple(labels)
+
 
 class TestPartialTrace:
     def test_product_state(self):
