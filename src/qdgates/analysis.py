@@ -9,12 +9,13 @@ rotating-frame evolution, in closed form from the eigenvectors of H_rwa:
 a sampled scan, block by block up to the first block that holds it,
 brackets the first minimum of the target's P_up, and a safeguarded
 Newton iteration on the closed-form dP_up/dt pins it to roundoff.  It is
-kept in `coherent_point`, a gradient's noise-free part, which a calibration
-fit builds once and every noisy state and noise setting reuses, so that
-decoherence is never conflated with timing drift.  One `propagate` call,
-a single exact expm(L t_flip) step, gives all noisy states at the
+kept in `coherent_point`, a gradient's noise-free part, with the noise-free
+generator of H_rwa (`lindblad.NoiseFreePart`), which a calibration fit
+builds once and every noise setting reuses, so that decoherence is never
+conflated with timing drift.  An evaluation adds its rate table's part to
+that generator; one exact expm(L t_flip) step gives all noisy states at the
 flip time, and one `populations_up` call their (d, n) P_up table, exactly
-as propagated: `propagate` alone judges whether a state is physical, and
+as propagated: propagation alone judges whether a state is physical, and
 nothing is clipped.  That table is a point's only verdict data:
 `classify` turns it into margins against the truth table `expected_up`.
 `run_sweep` is the one entry point for a gradient grid: it evaluates every
@@ -36,7 +37,7 @@ import numpy as np
 from . import device
 from .device import DeviceConfig
 from .noise import CollapseSet, NoiseConfig, build_collapse_set
-from .lindblad import SolverError, propagate
+from .lindblad import NoiseFreePart, SolverError, noise_free_part
 from .operators import EigenSystem, index_to_label, label_to_index, n_qubits_of, up_mask
 
 FLIP_WINDOW_FACTOR = 4.0
@@ -129,17 +130,24 @@ def flip_time(cfg: DeviceConfig, *, h_rwa=None) -> float:
     if h_rwa is None:
         h_rwa = device.build_hamiltonian_rwa(cfg)
     energies, weights = _up_amplitudes(cfg, h_rwa)
-    times = np.linspace(0.0, window, FLIP_SAMPLES)
 
     def p_up(start, stop):
-        amplitudes = weights @ np.exp(-1j * (energies[:, None] * times[start:stop]))
+        amplitudes = weights @ np.exp(-1j * (energies[:, None] * _scan_times(window, start, stop)))
         return (np.abs(amplitudes) ** 2).sum(axis=0)
 
     idx = _scan_first_minimum(p_up, FLIP_SAMPLES)
     if idx is None:
         raise FlipTimeError("target never reached a P_up minimum below 0.5 within "
                             f"{FLIP_WINDOW_FACTOR}x the Rabi half-period")
-    return _stationary_point(energies, weights, times[idx - 1], times[idx + 1], times[idx])
+    before, at, after = _scan_times(window, idx - 1, idx + 2)
+    return _stationary_point(energies, weights, before, after, at)
+
+
+def _scan_times(window: float, start: int, stop: int) -> np.ndarray:
+    """np.linspace(0, window, FLIP_SAMPLES)[start:stop], bit for bit, built alone."""
+    times = np.arange(start, stop) * (window / (FLIP_SAMPLES - 1))
+    times[FLIP_SAMPLES - 1 - start:] = window       # linspace's end sample, if in range
+    return times
 
 
 def _up_amplitudes(cfg: DeviceConfig, h_rwa: np.ndarray) -> tuple:
@@ -289,11 +297,10 @@ class SweepResult:
 
 
 def coherent_model(cfg: DeviceConfig) -> tuple:
-    """Noise-free model: (resolved config, drive-free eigensystem, read-only H_rwa)."""
+    """Noise-free model: (resolved config, drive-free eigensystem, H_rwa)."""
     eig = device.static_eigensystem(cfg)
     cfg = device.resolve_drive(cfg, eig)
-    (h := device.build_hamiltonian_rwa(cfg)).setflags(write=False)
-    return cfg, eig, h
+    return cfg, eig, device.build_hamiltonian_rwa(cfg)
 
 
 def collapse_model(cfg: DeviceConfig, eig: EigenSystem, noise: NoiseConfig) -> CollapseSet:
@@ -304,20 +311,22 @@ def collapse_model(cfg: DeviceConfig, eig: EigenSystem, noise: NoiseConfig) -> C
 
 @dataclass(frozen=True, eq=False)
 class CoherentPoint:
-    """Noise-free part of one gradient point: its `coherent_model` and flip time."""
+    """Noise-free part of one gradient point: its `coherent_model`, flip time,
+    and the `NoiseFreePart` of H_rwa and the basis states in the eigenbasis."""
     gradient: float
     cfg: DeviceConfig
     eig: EigenSystem
-    h_rwa: np.ndarray
     t_flip: float
+    part: NoiseFreePart
 
 
 def coherent_point(template: SweepTemplate, gradient: float) -> CoherentPoint:
     """A gradient's `CoherentPoint`; model and flip-time failures name the gradient."""
     try:
         cfg, eig, h = coherent_model(template.config(gradient))
-        return CoherentPoint(float(gradient), cfg, eig, h, flip_time(cfg, h_rwa=h))
-    except (ValueError, KeyError, FlipTimeError) as exc:
+        return CoherentPoint(float(gradient), cfg, eig, flip_time(cfg, h_rwa=h),
+                             noise_free_part(h, eig.vectors, _basis_states(cfg.dim)))
+    except (ValueError, KeyError, FlipTimeError, SolverError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
         raise type(exc)(f"gradient {gradient} T: {detail}") from exc
 
@@ -327,8 +336,7 @@ def evaluate_point(point: CoherentPoint, noise: NoiseConfig,
     """Classify every basis state propagated to the flip time; failures name the gradient."""
     cfg = point.cfg
     try:
-        finals = propagate(point.h_rwa, collapse_model(cfg, point.eig, noise),
-                           _basis_states(cfg.dim), point.t_flip)[:, -1]
+        finals = point.part.propagate(collapse_model(cfg, point.eig, noise), point.t_flip)[:, -1]
     except (ValueError, SolverError) as exc:
         raise type(exc)(f"gradient {point.gradient} T: {exc}") from exc
     (p_up := populations_up(finals)).setflags(write=False)

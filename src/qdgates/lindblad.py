@@ -8,11 +8,13 @@ with hbar = 1 (energies in ueV, time in model units).  For a static H,
 `propagate` evaluates rho(t) = exp(L t) rho(0) on evenly spaced times.  L
 maps Hermitian matrices to Hermitian ones, so on the d^2 real coordinates
 of a Hermitian rho (the coherence-vector form: Alicki & Lendi, Quantum
-Dynamical Semigroups, 1987) it is a real matrix G.  The rate table is the
-generator: in the collapse set's basis, the static eigenbasis, each
-relaxation row only moves population and damps coherences (the Pauli
-master equation: Breuer & Petruccione, The Theory of Open Quantum Systems,
-2002), so G is built there with no collapse matrix formed.  One exponential
+Dynamical Semigroups, 1987) it is a real matrix G.  In the collapse set's
+basis, the static eigenbasis, G = G_H + gamma_phi G_Z + R: the noise-free
+`NoiseFreePart` (G_H, and the unit dephasing direction G_Z), built once per
+H, plus the rate table's part R, built from its rows with no collapse
+matrix formed, since there each relaxation row only moves population and
+damps coherences (the Pauli master equation: Breuer & Petruccione, The
+Theory of Open Quantum Systems, 2002).  One exponential
 E = exp(G dt) by the scaling-and-squaring Pade [13/13] method in numpy
 (`_expm`: Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005); Moler & Van
 Loan, SIAM Rev. 45, 3 (2003)) is applied step by step to all initial
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import sigma_z_string
+from .noise import CollapseSet, sigma_z_string
 from .operators import kron, skew
 
 DEFAULT_RTOL = 1e-8
@@ -133,19 +135,27 @@ def _real_liouvillian(lv: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _hermitian_gathers(d: int) -> tuple:
-    """Read-only gathers of real coordinates x, with vec indices diag, up, lo =
-    k(d+1), kd+l, ld+k (k < l): vec entries (diag, up), read by `_to_real`; each
-    vec entry's (Re, Im) indices into [x, -x_Im, 0], read by `_from_real`; flat
-    indices of rows (diag, up) x columns (diag, up, lo) of L, read by `_generator`."""
+    """Read-only index tables of the real coordinates x, with vec indices
+    diag, up, lo = k(d+1), kd+l, ld+k (k < l): the vec entries (diag, up),
+    for `_to_real`; each vec entry's (Re, Im) indices into [x, -x_Im, 0], for
+    `_from_real`; for `noise_free_part`, over the entries of L at rows (i, a)
+    in (diag, up) and columns (j, b) in (diag, up, lo), the flat id + j and
+    ad + b, and the entries with a = b and with i = j, where K (x) I and
+    I (x) K act; and the (d^2, d) map from the total rate out of each level
+    to the damping -(Gamma_i + Gamma_a)/2 of rho_ia, for `NoiseFreePart`."""
     k, l = np.triu_indices(d, 1)
     diag, up, lo = np.arange(d) * (d + 1), k * d + l, l * d + k
     picks, n, p = np.concatenate((diag, up)), d * d, len(up)
     fills = np.full((n, 2), n + p)                  # Im of the diagonal reads the 0
     fills[picks, 0], fills[lo, 0] = np.arange(d + p), np.arange(d, d + p)
     fills[up, 1], fills[lo, 1] = np.arange(d + p, n), np.arange(n, n + p)
-    out = (picks, fills.ravel(), picks[:, None] * n + np.concatenate((diag, up, lo)))
-    for a in out:
-        a.flags.writeable = False
+    (i, a), (j, b) = np.divmod(picks, d), np.divmod(np.concatenate((diag, up, lo)), d)
+    damping = -0.5 * (np.eye(d)[i] + np.eye(d)[a])
+    out = (picks, fills.ravel(), (i[:, None] * d + j).ravel(), (a[:, None] * d + b).ravel(),
+           np.flatnonzero(a[:, None] == b), np.flatnonzero(i[:, None] == j),
+           np.concatenate((damping, damping[d:])))
+    for x in out:
+        x.flags.writeable = False
     return out
 
 
@@ -161,47 +171,6 @@ def _from_real(x: np.ndarray, d: int) -> np.ndarray:
     lead = x.shape[:-1]
     x = np.concatenate((x, -x[..., (d * d + d) // 2:], np.zeros((*lead, 1))), axis=-1)
     return x.take(_hermitian_gathers(d)[1], axis=-1).view(complex).reshape(*lead, d, d)
-
-
-def _generator(h: np.ndarray, collapse) -> tuple:
-    """(G, V): L on the real coordinates of V^+ rho V, with V the collapse
-    set's basis (the identity for None; d must be 2^n either way).
-
-    In V, L is -i K' (x) I + i I (x) conj(K') + gamma_phi Z' (x) conj(Z'),
-    K' = V^+ H V - (i/2)(diag Gamma + gamma_phi Z'^+ Z'), Z' = V^+ sigma_z V
-    and Gamma the total rate out of each level, gathered onto the Hermitian
-    basis, plus each relaxation rate at G[to, from].  Raises SolverError if
-    H is not Hermitian to HERMITIZATION_TOL of G's largest entry.
-    """
-    d = h.shape[0]
-    if collapse is None:
-        v, src, dst, rate = np.eye(d), np.empty(0, int), np.empty(0, int), np.empty(0)
-    else:
-        v, src, dst, rate = collapse.basis, collapse.src, collapse.dst, collapse.rate
-        if v.shape != h.shape:
-            raise ValueError(f"collapse basis {v.shape} does not match H {h.shape}")
-    relaxation = src >= 0
-    gamma_phi = rate[~relaxation].sum()
-    # transfer[to, from] sums the rates of the relaxation rows from -> to
-    transfer = np.bincount(dst[relaxation] * d + src[relaxation], rate[relaxation],
-                           d * d).reshape(d, d)
-    vh = v.conj().T
-    k = vh @ h @ v
-    levels = np.arange(d)
-    k[levels, levels] -= 0.5j * transfer.sum(axis=0)
-    z = vh @ sigma_z_string(d) @ v
-    k -= 0.5j * gamma_phi * (z.conj().T @ z)
-    # m[i, a, j, b] is the complex part's entry at row (i, a), column (j, b)
-    m = gamma_phi * z[:, None, :, None] * z.conj()[None, :, None, :]
-    m[:, levels, :, levels] += -1j * k            # -i K' (x) I
-    m[levels, :, levels, :] += 1j * k.conj()      # i I (x) conj(K')
-    m, pairs = m.take(_hermitian_gathers(d)[2]), d * (d - 1) // 2
-    m_up, m_lo = m[:, d:d + pairs], m[:, d + pairs:]
-    cols = np.concatenate((m[:, :d], m_up + m_lo, 1j * (m_up - m_lo)), axis=1)
-    g = np.concatenate((cols.real, cols[d:].imag))
-    g[:d, :d] += transfer
-    _check_hermitian(h, np.abs(g).max())
-    return g, v
 
 
 def _propagation_error(t_end: float, what: str) -> SolverError:
@@ -271,50 +240,110 @@ def _hermitized(states: np.ndarray) -> np.ndarray:
     return (states + states.conj().swapaxes(-1, -2)) / 2.0
 
 
+@dataclass(frozen=True, eq=False)
+class NoiseFreePart:
+    """What propagation under a static H keeps across noise settings, read-only:
+    on the real coordinates of V^+ rho V, V the unitary `basis`, the generator
+    G_H of -i[V^+ H V, .], the unit-rate collective dephasing G_Z of
+    rho -> Z' rho Z'^+ - rho (Z' = V^+ sigma_z^(x)n V), and the `initial`
+    states' coordinates, one column each."""
+    basis: np.ndarray
+    hamiltonian: np.ndarray
+    dephasing: np.ndarray
+    initial: np.ndarray
+
+    def generator(self, collapse: CollapseSet) -> np.ndarray:
+        """G = G_H + gamma_phi G_Z + R, affine in the rates of a `CollapseSet`
+        on `basis`: gamma_phi sums the dephasing rates, and R puts each
+        relaxation rate at G[to, from] and its damping on the diagonal."""
+        d, src, dst, rate = len(self.basis), collapse.src, collapse.dst, collapse.rate
+        if collapse.basis is not self.basis:
+            raise ValueError("collapse basis is not the noise-free part's basis")
+        relaxation = src >= 0
+        src, dst, relax = src[relaxation], dst[relaxation], rate[relaxation]
+        g = self.hamiltonian + rate[~relaxation].sum() * self.dephasing
+        transfer = np.bincount(dst * d + src, relax, d * d).reshape(d, d)
+        g[:d, :d] += transfer
+        g.reshape(-1)[::d * d + 1] += _hermitian_gathers(d)[6] @ transfer.sum(axis=0)
+        return g
+
+    def propagate(self, collapse: CollapseSet, t_end: float, samples: int = 2) -> np.ndarray:
+        """`propagate` of the initial states under `generator(collapse)`."""
+        if not t_end >= 0 or samples < 2:
+            raise ValueError("propagate needs t_end >= 0 and samples >= 2")
+        v, d = self.basis, len(self.basis)
+        # overflow is not warned about here: the checks below raise on its result
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _expm(self.generator(collapse) * (t_end / (samples - 1)))
+            coords = np.empty((samples, *self.initial.shape))
+            coords[0] = self.initial
+            for k in range(1, samples):
+                coords[k] = step @ coords[k - 1]
+        if not np.isfinite(coords).all():
+            what = "state" if np.isfinite(step).all() else "step exp(L dt)"
+            raise _propagation_error(t_end, f"non-finite {what}")
+        coords = coords.transpose(2, 0, 1)
+        drift = np.abs(coords[..., :d].sum(axis=-1) - 1.0).max()
+        if drift > TRACE_TOL:
+            raise _propagation_error(t_end, f"trace drift {drift:.3e} exceeds {TRACE_TOL}")
+        states = v @ _from_real(coords, d) @ v.conj().T
+        _check_physical(states[:, 1:], t_end)
+        return states
+
+
+def noise_free_part(h: np.ndarray, v: np.ndarray, rho0s) -> NoiseFreePart:
+    """The `NoiseFreePart` of a static H and initial states in the basis V.
+    A basis or states that do not match H, or a non-Hermitian initial state,
+    raise ValueError, and an H that is not Hermitian to HERMITIZATION_TOL of
+    G_H's largest entry SolverError."""
+    h = np.asarray(h, dtype=complex)
+    rho0s = np.asarray(rho0s, dtype=complex)
+    d = h.shape[0]
+    if v.shape != h.shape:
+        raise ValueError(f"collapse basis {v.shape} does not match H {h.shape}")
+    if rho0s.ndim != 3 or rho0s.shape[1:] != h.shape:
+        raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
+    if not (dev := skew(rho0s)) <= HERMITIZATION_TOL:      # also catches NaN
+        raise ValueError(f"initial state is not Hermitian: deviation {dev:.3e}")
+    vh, pairs = v.conj().T, d * (d - 1) // 2
+    k, z = (vh @ h @ v).ravel(), (vh @ sigma_z_string(d) @ v).ravel()
+    ij, ab, left, right = _hermitian_gathers(d)[2:6]
+    # the gathered entries of L: -i K (x) I + i I (x) conj(K), K = V^+ H V,
+    # then Z' (x) conj(Z'); Z'^+ Z' = I, so the dephasing's -(1/2){Z'^+ Z', rho}
+    # is -rho, added on the real coordinates
+    m = np.zeros((2, len(ij)), dtype=complex)
+    m[0, left] = -1j * k[ij[left]]
+    m[0, right] += 1j * k[ab[right]].conj()
+    m[1] = z[ij] * z[ab].conj()
+    m = m.reshape(2, d + pairs, d * d)
+    m_up, m_lo = m[..., d:d + pairs], m[..., d + pairs:]
+    cols = np.concatenate((m[..., :d], m_up + m_lo, 1j * (m_up - m_lo)), axis=-1)
+    g = np.concatenate((cols.real, cols[:, d:].imag), axis=1)
+    g[1].reshape(-1)[::d * d + 1] -= 1.0
+    _check_hermitian(h, np.abs(g[0]).max())
+    initial = _to_real(vh @ rho0s @ v).T
+    g.flags.writeable = initial.flags.writeable = False
+    return NoiseFreePart(v, g[0], g[1], initial)
+
+
 def propagate(h: np.ndarray, collapse, rho0s, t_end: float,
               samples: int = 2) -> np.ndarray:
     """Exact rho on np.linspace(0, t_end, samples) for a static H.
 
-    `collapse` is a `CollapseSet` or None.  Returns shape
+    `collapse` is a `CollapseSet`, or None for no noise.  Returns shape
     (len(rho0s), samples, d, d).  One step E = expm(G dt) of the real
-    generator, dt = t_end / (samples - 1), is applied `samples - 1` times to
-    the real coordinates of all initial states at once, in the collapse
-    set's basis; the trace is not renormalized.  A non-Hermitian initial
-    state, or a basis that does not match H, raises ValueError.  A
-    non-Hermitian H, a non-finite step or state, a trace drift beyond
-    TRACE_TOL, or a propagated state with an eigenvalue below EIG_FLOOR
-    raises SolverError.
+    generator, its `noise_free_part` plus the rate table's part, with
+    dt = t_end / (samples - 1), is applied `samples - 1` times to the real
+    coordinates of all initial states at once, in the collapse set's basis;
+    the trace is not renormalized.  Beside `noise_free_part`'s errors, a
+    non-finite step or state, a trace drift beyond TRACE_TOL, or a state
+    with an eigenvalue below EIG_FLOOR raises SolverError.
     """
     if callable(h):
         raise ValueError("propagate requires a time-independent Hamiltonian")
-    h = np.asarray(h, dtype=complex)
-    rho0s = np.asarray(rho0s, dtype=complex)
-    d = h.shape[0]
-    if rho0s.ndim != 3 or rho0s.shape[1:] != h.shape:
-        raise ValueError(f"initial states {rho0s.shape} do not match H {h.shape}")
-    if not t_end >= 0 or samples < 2:
-        raise ValueError("propagate needs t_end >= 0 and samples >= 2")
-    if not (dev := skew(rho0s)) <= HERMITIZATION_TOL:      # also catches NaN
-        raise ValueError(f"initial state is not Hermitian: deviation {dev:.3e}")
-    generator, v = _generator(h, collapse)
-    vh = v.conj().T
-    # overflow is not warned about here: the checks below raise on its result
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = _expm(generator * (t_end / (samples - 1)))
-        coords = np.empty((samples, d * d, len(rho0s)))
-        coords[0] = _to_real(vh @ rho0s @ v).T
-        for k in range(1, samples):
-            coords[k] = step @ coords[k - 1]
-    if not np.isfinite(coords).all():
-        what = "state" if np.isfinite(step).all() else "step exp(L dt)"
-        raise _propagation_error(t_end, f"non-finite {what}")
-    coords = coords.transpose(2, 0, 1)
-    drift = np.abs(coords[..., :d].sum(axis=-1) - 1.0).max()
-    if drift > TRACE_TOL:
-        raise _propagation_error(t_end, f"trace drift {drift:.3e} exceeds {TRACE_TOL}")
-    states = v @ _from_real(coords, d) @ vh
-    _check_physical(states[:, 1:], t_end)
-    return states
+    if collapse is None:        # no rows, in the computational basis
+        collapse = CollapseSet((), (), *[np.empty(0, int)] * 2, np.empty(0), np.eye(len(h)))
+    return noise_free_part(h, collapse.basis, rho0s).propagate(collapse, t_end, samples)
 
 
 @dataclass

@@ -22,9 +22,11 @@ def rng():
 
 @pytest.fixture
 def model_builds(monkeypatch):
-    """Counter of `analysis.flip_time` and `device.static_eigensystem` calls."""
+    """Counter of `analysis.flip_time`, `analysis.noise_free_part` and
+    `device.static_eigensystem` calls."""
     counts = Counter()
-    for module, name in ((analysis, "flip_time"), (device, "static_eigensystem")):
+    for module, name in ((analysis, "flip_time"), (analysis, "noise_free_part"),
+                         (device, "static_eigensystem")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)

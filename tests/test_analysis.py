@@ -29,6 +29,7 @@ from qdgates.analysis import (
     _first_minimum_below_half,
     _p_up_slopes,
     _scan_first_minimum,
+    _scan_times,
     _stationary_point,
     _up_amplitudes,
 )
@@ -320,6 +321,14 @@ class TestBlockScan:
     def test_flip_time_matches_the_full_scan_bit_for_bit(self, cfg):
         assert flip_time(cfg) == flip_time_by_full_scan(cfg)
 
+    def test_scan_times_are_the_linspace_samples(self):
+        # the scan builds only the samples it reads, the end sample included
+        for window in (1.0, 3.3555878576075053, math.pi / 7):
+            grid = np.linspace(0.0, window, FLIP_SAMPLES)
+            for start, stop in ((0, FLIP_BLOCK), (510, 1022), (1530, FLIP_SAMPLES),
+                                (FLIP_SAMPLES - 3, FLIP_SAMPLES)):
+                assert np.array_equal(_scan_times(window, start, stop), grid[start:stop])
+
     def test_minimum_at_every_sample(self):
         # a lone minimum anywhere, block edges included, is found where the
         # full rule finds it
@@ -559,10 +568,15 @@ class TestSweep:
 
     def test_one_coherent_point_serves_every_noise_setting(self):
         point = coherent_point(LOW_ROW, GRADIENT_LOW_TARGET)
-        for array in (point.h_rwa, point.eig.energies, point.eig.vectors):
+        part = point.part
+        for array in (part.hamiltonian, part.dephasing, part.initial, point.eig.energies,
+                      point.eig.vectors):
             assert not array.flags.writeable
+        # a setting evaluated again after others, and with every channel off,
+        # gives what a fresh point gives: no evaluation leaves state behind
         for noise in (NoiseConfig(), NoiseConfig().scaled(10),
-                      replace(NoiseConfig(), upsilon=10 * UPSILON_DEFAULT)):
+                      replace(NoiseConfig(), upsilon=10 * UPSILON_DEFAULT),
+                      NoiseConfig(hyperfine=False, phonon=False, dephasing=False), NoiseConfig()):
             shared = evaluate_point(point, noise, Thresholds())
             fresh = evaluate_point(coherent_point(LOW_ROW, GRADIENT_LOW_TARGET), noise,
                                    Thresholds())
@@ -581,7 +595,7 @@ class TestSweep:
         run_sweep(SweepTemplate(gate="cnot", fixed_field=1.0, b_ac=0.004, exchange=(0.42,)),
                   gradients, NoiseConfig(), Thresholds(), refine=True)
         assert len(evaluated) > len(gradients)   # the lower end was refined
-        assert model_builds == {"flip_time": len(evaluated),
+        assert model_builds == {"flip_time": len(evaluated), "noise_free_part": len(evaluated),
                                 "static_eigensystem": len(evaluated)}
 
     def test_degenerate_spectrum_names_the_gradient(self):

@@ -45,8 +45,9 @@ def test_fit_evaluation_count(monkeypatch, fit, evaluations):
 
 
 def test_fit_builds_its_gradient_once(model_builds):
-    # one eigensystem and one flip time per fit, however many noise settings
-    # it evaluates; a second fit builds them again
+    # one eigensystem, one flip time and one noise-free generator per fit,
+    # however many noise settings it evaluates; a second fit builds them again
     for fits in (1, 2):
         calibrate_upsilon(NoiseConfig())
-        assert model_builds == {"flip_time": fits, "static_eigensystem": fits}
+        assert model_builds == {"flip_time": fits, "noise_free_part": fits,
+                                "static_eigensystem": fits}

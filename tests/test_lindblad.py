@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ from qdgates.lindblad import (
     _expm,
     _from_real,
     _hermitized,
-    _generator,
     _to_real,
     evolve,
     expm_oracle,
     lindblad_rhs,
     liouvillian,
+    noise_free_part,
     propagate,
 )
 from qdgates.noise import (
@@ -198,7 +199,8 @@ class TestRealCoordinates:
         rng = np.random.default_rng(seed)
         h = random_hermitian(rng, d)
         collapse = random_rate_table(rng, d, dephasing)
-        generator, v = _generator(h, collapse)
+        part = noise_free_part(h, collapse.basis, [np.eye(d) / d])
+        generator, v = part.generator(collapse), part.basis
         assert v is collapse.basis
         w = np.kron(v, v.conj())
         t = hermitian_basis(d)
@@ -211,6 +213,30 @@ class TestRealCoordinates:
         coords = _to_real(rho)
         assert np.array_equal(_from_real(coords, d), rho)
         assert np.abs(t @ coords - rho.ravel()).max() <= 1e-15 * np.abs(rho).max()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1),
+           dephasing=st.booleans(), scale=st.floats(0.0, 1e3))
+    def test_generator_is_affine_in_the_rates(self, d, seed, dephasing, scale):
+        # G(a r) - G(0) = a (G(r) - G(0)), and G(0) is the noise-free part
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, d)
+        collapse = random_rate_table(rng, d, dephasing)
+        part = noise_free_part(h, collapse.basis, [np.eye(d) / d])
+
+        def generator(factor):
+            return part.generator(replace(collapse, rate=factor * collapse.rate))
+
+        base = generator(0.0)
+        assert np.array_equal(base, part.hamiltonian)
+        tol = 1e-12 * np.abs(liouvillian(h, replace(collapse, rate=scale * collapse.rate))).max()
+        assert np.abs((generator(scale) - base) - scale * (generator(1.0) - base)).max() <= tol
+
+    def test_rate_table_of_another_basis_is_rejected(self, rng):
+        collapse = random_rate_table(rng, 4, True)
+        part = noise_free_part(random_hermitian(rng, 4), np.eye(4), [np.eye(4) / 4])
+        with pytest.raises(ValueError, match="collapse basis"):
+            part.propagate(collapse, 1.0)
 
     def test_non_hermitian_hamiltonian_is_a_generator_error(self, rng):
         h = random_hermitian(rng, 4)
