@@ -18,6 +18,7 @@ from .device import (
     CNOT,
     TOFFOLI,
     DeviceConfig,
+    ParameterError,
     build_hamiltonian_lab,
     build_hamiltonian_rwa,
     cnot_config,

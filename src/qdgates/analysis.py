@@ -57,7 +57,8 @@ class Thresholds:
 
     def __post_init__(self):
         if not 0.0 < self.t_down < self.t_up < 1.0:
-            raise ValueError("thresholds must satisfy 0 < t_down < t_up < 1")
+            raise device.ParameterError("t_down" if 0.0 < self.t_up < 1.0 else "t_up",
+                                        "thresholds must satisfy 0 < t_down < t_up < 1")
 
 
 def populations_up(states: np.ndarray) -> np.ndarray:

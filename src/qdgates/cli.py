@@ -29,8 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, device
-from .config import AUTO, GATE_KEYS, ConfigError, RunSpec, parse_config, sweep_axis, validate_spec
-from .device import LAYOUTS, DeviceConfig
+from .config import (AUTO, GATE_KEYS, ConfigError, RunSpec, device_from_spec, noise_from_spec,
+                     parse_config, sweep_axis, template_from_spec, thresholds_from_spec,
+                     validate_spec)
+from .device import LAYOUTS
 from .lindblad import propagate
 from .noise import NoiseConfig
 from .operators import basis_density, basis_labels
@@ -40,47 +42,9 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def noise_from_spec(spec: RunSpec) -> NoiseConfig:
-    kwargs = dict(
-        delta_e_nuc=spec.delta_e_nuc,
-        t_k=spec.t_k,
-        t2_star=device.ns_to_time(spec.t2_star_ns),
-        hyperfine=spec.enable_hyperfine,
-        phonon=spec.enable_phonon,
-        dephasing=spec.enable_dephasing,
-        phonon_e_mode=spec.phonon_e_mode,
-    )
-    if spec.upsilon is not None:
-        kwargs["upsilon"] = spec.upsilon
-    if spec.phonon_p is not None:
-        kwargs["phonon_p"] = spec.phonon_p
-    return NoiseConfig(**kwargs)
-
-
-def thresholds_from_spec(spec: RunSpec) -> analysis.Thresholds:
-    return analysis.Thresholds(t_up=spec.t_up, t_down=spec.t_down)
-
-
-def _values(spec: RunSpec, attrs: tuple) -> tuple:
-    return tuple(getattr(spec, attr) for attr in attrs)
-
-
-def device_from_spec(spec: RunSpec) -> DeviceConfig:
-    """Explicit-field device for simulate mode."""
-    fields, couplings = GATE_KEYS[spec.gate]
-    return DeviceConfig(gate=spec.gate, b_fields=_values(spec, fields), b_ac=spec.b_ac,
-                        exchange=_values(spec, couplings), g=spec.g,
-                        drive_frequency=spec.drive_frequency)
-
-
-def template_from_spec(spec: RunSpec, fixed_field: float) -> analysis.SweepTemplate:
-    return analysis.SweepTemplate(gate=spec.gate, fixed_field=fixed_field, b_ac=spec.b_ac,
-                                  exchange=_values(spec, GATE_KEYS[spec.gate][1]), g=spec.g)
-
-
-def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
+def run_simulate(spec: RunSpec, out_dir: Path, noise: NoiseConfig, extras: dict) -> list:
     cfg, eig, h = analysis.coherent_model(device_from_spec(spec))
-    collapse = analysis.collapse_model(cfg, eig, noise_from_spec(spec))
+    collapse = analysis.collapse_model(cfg, eig, noise)
     t_end = (analysis.flip_time(cfg, h_rwa=h) if spec.t_end_ns == AUTO
              else device.ns_to_time(spec.t_end_ns))
     extras["resolved_drive_frequency_ueV"] = float(cfg.drive_frequency)
@@ -99,7 +63,7 @@ def run_simulate(spec: RunSpec, out_dir: Path, extras: dict) -> list:
     return [path]
 
 
-def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> None:
+def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> Path:
     with path.open("w", encoding="utf-8") as fh:
         fh.write("gradient_T,initial_state,qubit_role,P_up,verdict\n")
         for point in result.points:
@@ -108,26 +72,25 @@ def _write_sweep_csv(path: Path, result: analysis.SweepResult, roles) -> None:
                 for role, p in zip(roles, p_up):
                     fh.write(f"{_fmt(point.gradient)},{initial},{role},{_fmt(p)},"
                              f"{'pass' if ok else 'fail'}\n")
+    return path
 
 
-def run_sweep_mode(spec: RunSpec, out_dir: Path) -> list:
-    noise = noise_from_spec(spec)
+def _sweep_rows(spec: RunSpec, noise: NoiseConfig, refine: bool):
+    """(template, SweepResult) of each fixed-field row, in order."""
     thresholds = thresholds_from_spec(spec)
     gradients = sweep_axis(spec)
-    paths = []
-    for row, fixed in enumerate(spec.fixed_fields):
-        result = analysis.run_sweep(template_from_spec(spec, fixed), gradients, noise,
-                                    thresholds)
-        path = out_dir / f"sweep_row{row}.csv"
-        _write_sweep_csv(path, result, LAYOUTS[spec.gate].roles)
-        paths.append(path)
-    return paths
+    for fixed in spec.fixed_fields:
+        template = template_from_spec(spec, fixed)
+        yield template, analysis.run_sweep(template, gradients, noise, thresholds,
+                                           refine=refine)
 
 
-def run_ranges(spec: RunSpec, out_dir: Path) -> list:
-    noise = noise_from_spec(spec)
-    thresholds = thresholds_from_spec(spec)
-    gradients = sweep_axis(spec)
+def run_sweep_mode(spec: RunSpec, out_dir: Path, noise: NoiseConfig) -> list:
+    return [_write_sweep_csv(out_dir / f"sweep_row{row}.csv", result, LAYOUTS[spec.gate].roles)
+            for row, (_, result) in enumerate(_sweep_rows(spec, noise, refine=False))]
+
+
+def run_ranges(spec: RunSpec, out_dir: Path, noise: NoiseConfig) -> list:
     path = out_dir / "ranges.csv"
     layout = LAYOUTS[spec.gate]
     fields, couplings = GATE_KEYS[spec.gate]
@@ -138,11 +101,8 @@ def run_ranges(spec: RunSpec, out_dir: Path) -> list:
               "open_low", "open_high",
               "limit_state_low", "limit_qubit_low", "limit_state_high", "limit_qubit_high"]
     rows = []
-    for fixed in spec.fixed_fields:
-        template = template_from_spec(spec, fixed)
-        result = analysis.run_sweep(template, gradients, noise, thresholds,
-                                    refine=spec.sweep_refine)
-        row = [_fmt(spec.b_ac), *map(_fmt, template.exchange), _fmt(fixed)]
+    for template, result in _sweep_rows(spec, noise, refine=spec.sweep_refine):
+        row = [_fmt(spec.b_ac), *map(_fmt, template.exchange), _fmt(template.fixed_field)]
         if result.empty:
             row += ["empty"] + [""] * (2 * len(varied) + 6)
         else:
@@ -161,9 +121,8 @@ def run_ranges(spec: RunSpec, out_dir: Path) -> list:
     return [path]
 
 
-def write_manifest(spec: RunSpec, out_dir: Path, outputs: list,
+def write_manifest(spec: RunSpec, out_dir: Path, outputs: list, noise: NoiseConfig,
                    extras: dict) -> Path:
-    noise = noise_from_spec(spec)
     manifest = {
         "tool": "qdgates",
         "version": __version__,
@@ -195,14 +154,15 @@ def run(spec: RunSpec, out_dir: Path) -> list:
 def _execute(spec: RunSpec, out_dir: Path) -> list:
     """Execute a validated RunSpec; returns the list of written files."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    noise = noise_from_spec(spec)
     extras = {}
     if spec.mode == "simulate":
-        outputs = run_simulate(spec, out_dir, extras)
+        outputs = run_simulate(spec, out_dir, noise, extras)
     elif spec.mode == "sweep":
-        outputs = run_sweep_mode(spec, out_dir)
+        outputs = run_sweep_mode(spec, out_dir, noise)
     else:
-        outputs = run_ranges(spec, out_dir)
-    outputs.append(write_manifest(spec, out_dir, outputs, extras))
+        outputs = run_ranges(spec, out_dir, noise)
+    outputs.append(write_manifest(spec, out_dir, outputs, noise, extras))
     return outputs
 
 

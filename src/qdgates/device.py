@@ -70,6 +70,15 @@ GATES = tuple(LAYOUTS)
 AUTO = "auto"
 
 
+class ParameterError(ValueError):
+    """A model parameter outside its domain; `field` names it, with an index
+    for a tuple entry, e.g. "exchange[1]"."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def ns_to_time(t_ns: float) -> float:
     """Convert nanoseconds to model time units (hbar/ueV)."""
     return t_ns / HBAR
@@ -87,7 +96,7 @@ def field_to_energy(b_tesla: float, g: float) -> float:
 def layout_of(gate: str) -> GateLayout:
     """The `GateLayout` of a gate name; ValueError for any other name."""
     if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}")
+        raise ParameterError("gate", f"unknown gate {gate!r}")
     return LAYOUTS[gate]
 
 
@@ -112,18 +121,23 @@ class DeviceConfig:
         object.__setattr__(self, "b_fields", tuple(float(b) for b in self.b_fields))
         object.__setattr__(self, "exchange", tuple(float(j) for j in self.exchange))
         if len(self.b_fields) != n:
-            raise ValueError(f"{self.gate} needs {n} static fields, got {len(self.b_fields)}")
+            raise ParameterError("b_fields", f"{self.gate} needs {n} static fields, "
+                                 f"got {len(self.b_fields)}")
         if len(self.exchange) != n - 1:
-            raise ValueError(f"{self.gate} needs {n - 1} exchange couplings")
+            raise ParameterError("exchange", f"{self.gate} needs {n - 1} exchange couplings")
         values = [*self.b_fields, self.b_ac, *self.exchange, self.g]
         if self.drive_frequency != AUTO:
             values.append(float(self.drive_frequency))
         if not all(map(math.isfinite, values)):
-            raise ValueError("device parameters must be finite")
+            names = [*(f"b_fields[{q}]" for q in range(n)), "b_ac",
+                     *(f"exchange[{k}]" for k in range(n - 1)), "g", "drive_frequency"]
+            field = next(f for f, v in zip(names, values) if not math.isfinite(v))
+            raise ParameterError(field, f"device parameters must be finite, {field} is not")
         if self.b_ac < 0:
-            raise ValueError("b_ac must be non-negative")
-        if any(j < 0 for j in self.exchange):
-            raise ValueError("exchange couplings must be non-negative")
+            raise ParameterError("b_ac", "b_ac must be non-negative")
+        for k, j in enumerate(self.exchange):
+            if j < 0:
+                raise ParameterError(f"exchange[{k}]", "exchange couplings must be non-negative")
         self._warn_gradient_shape()
 
     def _warn_gradient_shape(self):

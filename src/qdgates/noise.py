@@ -33,13 +33,14 @@ bound of the low-field range) and then frozen; see calibration module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
 
 from .operators import EigenSystem, SIGMA_Z, kron, label_to_index, n_qubits_of
-from .device import ns_to_time
+from .device import ParameterError, ns_to_time
 
 # Calibrated against the two-spin reference ranges; see module docstring.
 UPSILON_DEFAULT = 1.576718e4   # 1 / model time unit
@@ -70,12 +71,16 @@ class NoiseConfig:
     phonon_e_mode: str = "gap"   # one of PHONON_E_MODES
 
     def __post_init__(self):
-        if self.upsilon < 0 or self.phonon_p < 0:
-            raise ValueError("rate constants must be non-negative")
-        if self.delta_e_nuc <= 0 or self.t_k <= 0 or self.t2_star <= 0:
-            raise ValueError("delta_e_nuc, t_k and t2_star must be positive")
+        # a NaN rate constant would fail RATE_FLOOR's test and switch its channel off
+        for name in ("upsilon", "phonon_p"):
+            if not (math.isfinite(value := getattr(self, name)) and value >= 0):
+                raise ParameterError(name, f"{name} must be finite and non-negative")
+        for name in ("delta_e_nuc", "t_k", "t2_star"):
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ParameterError(name, f"{name} must be finite and positive")
         if self.phonon_e_mode not in PHONON_E_MODES:
-            raise ValueError(f"unknown phonon_e_mode {self.phonon_e_mode!r}")
+            raise ParameterError("phonon_e_mode", f"phonon_e_mode must be one of "
+                                 f"{PHONON_E_MODES}, not {self.phonon_e_mode!r}")
 
     def scaled(self, factor: float) -> "NoiseConfig":
         """Copy with both rate constants multiplied by `factor`."""

@@ -1,10 +1,21 @@
 """The frozen noise constants are reproducible from the calibration fits."""
 import math
+from dataclasses import replace
 
 import pytest
 
 from qdgates import calibration
-from qdgates.calibration import calibrate_phonon_p, calibrate_upsilon, run_calibration
+from qdgates.analysis import Thresholds, coherent_point, evaluate_point
+from qdgates.calibration import (
+    B_CONTROL_TARGET,
+    GRADIENT_LOW_TARGET,
+    HIGH_ROW,
+    LOW_ROW,
+    calibrate_phonon_p,
+    calibrate_upsilon,
+    run_calibration,
+)
+from qdgates.device import ParameterError
 from qdgates.noise import PHONON_P_DEFAULT, UPSILON_DEFAULT, NoiseConfig
 
 
@@ -51,3 +62,18 @@ def test_fit_builds_its_gradient_once(model_builds):
         calibrate_upsilon(NoiseConfig())
         assert model_builds == {"flip_time": fits, "noise_free_part": fits,
                                 "static_eigensystem": fits}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["upsilon", "phonon_p", "delta_e_nuc", "t_k", "t2_star"])
+@pytest.mark.parametrize("row, gradient", [
+    (HIGH_ROW, B_CONTROL_TARGET - HIGH_ROW.fixed_field),
+    (LOW_ROW, GRADIENT_LOW_TARGET),
+], ids=["high-row", "low-row"])
+def test_non_finite_noise_constant_never_reaches_a_point(row, gradient, field, bad):
+    # a NaN rate failed the collapse set's RATE_FLOOR test and switched its
+    # channel off: on LOW_ROW, upsilon = nan passed exactly as hyperfine = False
+    point = coherent_point(row, gradient)
+    with pytest.raises(ParameterError) as err:
+        evaluate_point(point, replace(NoiseConfig(), **{field: bad}), Thresholds())
+    assert err.value.field == field

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdgates.analysis import Thresholds
+from qdgates.analysis import SweepTemplate, Thresholds
 from qdgates.cli import noise_from_spec, thresholds_from_spec
 from qdgates.config import (
     ConfigError,
@@ -10,6 +10,7 @@ from qdgates.config import (
     render_config,
     sweep_axis,
 )
+from qdgates.device import DeviceConfig, ParameterError
 from qdgates.noise import NoiseConfig
 
 MINIMAL_SIMULATE = """
@@ -209,7 +210,113 @@ class TestParse:
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
 
+TOFFOLI_SWEEP = """
+mode = sweep
+device.gate = toffoli
+device.b_ac = 4e-3
+device.j12 = 0.42
+device.j23 = 0.42
+sweep.start = 0.15
+sweep.stop = 0.45
+sweep.fixed_fields = 0.25
+"""
+
+FREE_SIMULATE = MINIMAL_SIMULATE + "simulate.t_end_ns = 5\n"   # no flip time needed
+
+
+def with_line(text: str, new: str) -> str:
+    """`text` with the line `new` in place of its key's line, else appended."""
+    key = new.split(" = ")[0]
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ")) + new + "\n"
+
+
+def toffoli_device(**kwargs) -> DeviceConfig:
+    return DeviceConfig(**{"gate": "toffoli", "b_fields": (0.25, 0.55, 0.85), "b_ac": 4e-3,
+                           "exchange": (0.42, 0.42), **kwargs})
+
+
+class TestParameterRules:
+    # each rule lives in its dataclass: the config names the key and line,
+    # the dataclass names its field
+    @pytest.mark.parametrize("text, new, build, field", [
+        (MINIMAL_SIMULATE, "noise.upsilon = -1", lambda: NoiseConfig(upsilon=-1.0),
+         "upsilon"),
+        (TABLE_ROW_SWEEP, "noise.phonon_p = -1e-17", lambda: NoiseConfig(phonon_p=-1e-17),
+         "phonon_p"),
+        (MINIMAL_SIMULATE, "noise.delta_e_nuc = 0", lambda: NoiseConfig(delta_e_nuc=0.0),
+         "delta_e_nuc"),
+        (TOFFOLI_SWEEP, "noise.t_k = -10", lambda: NoiseConfig(t_k=-10.0), "t_k"),
+        (MINIMAL_SIMULATE, "noise.t2_star_ns = 0", lambda: NoiseConfig(t2_star=0.0),
+         "t2_star"),
+        (TABLE_ROW_SWEEP, "thresholds.t_down = 0.9", lambda: Thresholds(t_down=0.9),
+         "t_down"),
+        (TOFFOLI_SWEEP, "thresholds.t_up = 1.5", lambda: Thresholds(t_up=1.5), "t_up"),
+        (TABLE_ROW_SWEEP, "noise.phonon_e_mode = zeeman",
+         lambda: NoiseConfig(phonon_e_mode="zeeman"), "phonon_e_mode"),
+        (FREE_SIMULATE, "device.b_ac = -1e-3", lambda: toffoli_device(b_ac=-1e-3), "b_ac"),
+        (MINIMAL_SIMULATE, "device.j = -0.1",
+         lambda: DeviceConfig(gate="cnot", b_fields=(1.5, 1.0), b_ac=4e-3, exchange=(-0.1,)),
+         "exchange[0]"),
+        (MINIMAL_TOFFOLI_SIMULATE, "device.j23 = -0.1",
+         lambda: toffoli_device(exchange=(0.42, -0.1)), "exchange[1]"),
+        (TOFFOLI_SWEEP.replace("mode = sweep", "mode = ranges"), "device.j12 = -0.1",
+         lambda: SweepTemplate(gate="toffoli", fixed_field=0.25, b_ac=4e-3,
+                               exchange=(-0.1, 0.42)).config(0.15), "exchange[0]"),
+    ], ids=["upsilon", "phonon_p", "delta_e_nuc", "t_k", "t2_star", "t_down", "t_up",
+            "phonon_e_mode", "b_ac", "cnot-j", "toffoli-j23", "ranges-j12"])
+    def test_rule_names_key_line_and_field(self, text, new, build, field):
+        text = with_line(text, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert f"(key {new.split(' = ')[0]!r}, line {len(text.splitlines())})" in str(err.value)
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert err.value.field == field
+
+    def test_zero_rate_constants_are_allowed(self):
+        NoiseConfig(upsilon=0.0, phonon_p=0.0)
+
+
+SIMULATE_ONLY = ["device.drive_frequency = 5", "simulate.initial_state = uu",
+                 "simulate.t_end_ns = -1", "simulate.samples = 5"]
+GRID_ONLY = ["thresholds.t_up = 0.7", "thresholds.t_down = 0.3", "sweep.start = -4",
+             "sweep.stop = 2", "sweep.points = 3", "sweep.scale = log",
+             "sweep.fixed_fields = 1.0"]
+CNOT_ONLY = ["device.j = 0.42", "device.b_control = 1.5", "device.b_target = 1.0"]
+TOFFOLI_ONLY = ["device.j12 = 0.42", "device.j23 = 0.42", "device.b_left = 0.25",
+                "device.b_center = 0.55", "device.b_right = 0.85"]
+BASES = {
+    ("simulate", "cnot"): (MINIMAL_SIMULATE, GRID_ONLY + ["sweep.refine = false"]
+                           + TOFFOLI_ONLY),
+    ("simulate", "toffoli"): (MINIMAL_TOFFOLI_SIMULATE, GRID_ONLY + ["sweep.refine = false"]
+                              + CNOT_ONLY),
+    ("sweep", "cnot"): (TABLE_ROW_SWEEP, SIMULATE_ONLY + ["sweep.refine = false"]
+                        + CNOT_ONLY[1:] + TOFFOLI_ONLY),
+    ("sweep", "toffoli"): (TOFFOLI_SWEEP, SIMULATE_ONLY + ["sweep.refine = false"]
+                           + CNOT_ONLY + TOFFOLI_ONLY[2:]),
+    ("ranges", "cnot"): (TABLE_ROW_SWEEP.replace("mode = sweep", "mode = ranges"),
+                         SIMULATE_ONLY + CNOT_ONLY[1:] + TOFFOLI_ONLY),
+    ("ranges", "toffoli"): (TOFFOLI_SWEEP.replace("mode = sweep", "mode = ranges"),
+                            SIMULATE_ONLY + CNOT_ONLY + TOFFOLI_ONLY[2:]),
+}
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("mode_gate, new", [
+        (mode_gate, new) for mode_gate, (_, unread) in BASES.items() for new in unread
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v.split(" = ")[0])
+    def test_non_default_unread_key_names_key_and_line(self, mode_gate, new):
+        # a value the run never reads would be recorded in the manifest as if used
+        text = with_line(BASES[mode_gate][0], new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "does not read this key" in str(err.value)
+        assert f"(key {new.split(' = ')[0]!r}, line {len(text.splitlines())})" in str(err.value)
+
+
 def random_spec(rng) -> RunSpec:
+    # sets only the keys that its mode and gate read; the others keep their defaults
     mode = rng.choice(["simulate", "sweep", "ranges"])
     gate = rng.choice(["cnot", "toffoli"])
     kwargs = dict(
@@ -217,17 +324,13 @@ def random_spec(rng) -> RunSpec:
         gate=str(gate),
         g=float(rng.uniform(0.4, 2.5)),
         b_ac=float(rng.uniform(1e-5, 0.01)),
-        drive_frequency="auto" if rng.random() < 0.5 else float(rng.normal()),
         delta_e_nuc=float(rng.uniform(0.1, 1.0)),
         t_k=float(rng.uniform(1.0, 20.0)),
         t2_star_ns=float(rng.uniform(100.0, 5000.0)),
-        t_up=0.8,
-        t_down=0.2,
         enable_hyperfine=bool(rng.random() < 0.5),
         enable_phonon=bool(rng.random() < 0.5),
         enable_dephasing=bool(rng.random() < 0.5),
         workers=int(rng.integers(1, 4)),
-        samples=int(rng.integers(400, 3000)),
         output_dir=str(rng.choice(["out", "results", "data/run1"])),
     )
     if gate == "cnot":
@@ -244,9 +347,13 @@ def random_spec(rng) -> RunSpec:
             kwargs["b_center"] = float(rng.uniform(0.3, 0.8))
             kwargs["b_right"] = float(rng.uniform(0.8, 2.0))
         n = 2 if gate == "cnot" else 3
+        kwargs["drive_frequency"] = "auto" if rng.random() < 0.5 else float(rng.normal())
+        kwargs["samples"] = int(rng.integers(400, 3000))
         kwargs["initial_state"] = "".join(rng.choice(["u", "d"], size=n))
         kwargs["t_end_ns"] = "auto" if rng.random() < 0.5 else float(rng.uniform(1, 100))
     else:
+        kwargs["t_up"] = 0.8
+        kwargs["t_down"] = 0.2
         start = float(rng.uniform(0.01, 0.5))
         kwargs["sweep_start"] = start
         kwargs["sweep_stop"] = start + float(rng.uniform(0.1, 3.0))
@@ -254,7 +361,8 @@ def random_spec(rng) -> RunSpec:
         kwargs["sweep_scale"] = str(rng.choice(["linear", "log"]))
         kwargs["fixed_fields"] = tuple(
             float(x) for x in rng.uniform(0.1, 1.0, size=rng.integers(1, 4)))
-        kwargs["sweep_refine"] = bool(rng.random() < 0.5)
+        if mode == "ranges":
+            kwargs["sweep_refine"] = bool(rng.random() < 0.5)
     return RunSpec(**kwargs)
 
 

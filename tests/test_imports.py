@@ -106,6 +106,29 @@ def test_gate_layout_written_once():
     assert layouts == []
 
 
+def test_parameter_rules_written_once():
+    # NoiseConfig, Thresholds and DeviceConfig own their parameters' rules;
+    # config.py builds them to validate, so it compares none of their spec
+    # attributes and tests no sign of b_ac or an exchange coupling
+    owned = {"upsilon", "phonon_p", "delta_e_nuc", "t_k", "t2_star_ns", "t_up", "t_down",
+             "j", "j12", "j23"}
+    path = ROOT / "src" / "qdgates" / "config.py"
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Compare) or all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            continue
+        operands = [node.left, *node.comparators]
+        attrs = {op.attr for operand in operands for op in ast.walk(operand)
+                 if isinstance(op, ast.Attribute) and dotted(op.value) == "spec"}
+        zero = any(isinstance(op, ast.Constant) and op.value == 0 for op in operands)
+        sign = zero and any(isinstance(op, (ast.GtE, ast.Lt, ast.LtE)) for op in node.ops)
+        getattr_sign = sign and any(isinstance(op, ast.Call) and dotted(op.func) == "getattr"
+                                    for operand in operands for op in ast.walk(operand))
+        if attrs & owned or (sign and "b_ac" in attrs) or getattr_sign:
+            hits.append(f"config.py:{node.lineno} {ast.unparse(node)}")
+    assert hits == []
+
 def dotted(node: ast.AST):
     """'a.b.c' of a chain of attributes on a name, else None."""
     parts = []
